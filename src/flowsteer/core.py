@@ -18,8 +18,8 @@ Conventions fixed here and relied on by every other module:
   resolution.
 
 * Random draws use a counter-based generator so that a ``(seed, counter)``
-  pair fully determines every value, independent of draw batching or
-  platform. Draw ``k`` of stream ``seed`` is
+  pair fully determines every value, independent of draw batching,
+  chunking, thread count or platform. Draw ``k`` of stream ``seed`` is
 
       ``mix64((seed + (k + 1) * GAMMA) mod 2**64)``
 
@@ -33,11 +33,19 @@ Conventions fixed here and relied on by every other module:
   positions. Substream ``i`` of a stream reseeds with
   ``mix64(mix64(seed ^ SPLIT_SALT) + (i + 1) * GAMMA)``,
   ``SPLIT_SALT = 0xD6E8FEB86659FD93``.
+  Because draw ``k`` depends only on ``(seed, k)``, a normals draw is
+  computed in fixed chunks of counter positions, and a draw of several
+  chunks spreads them over threads; the values do not depend on the chunk
+  size or the number of threads. A stream's ``counter`` is unguarded, so
+  one stream object must not be used by two callers at once.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -46,11 +54,16 @@ import numpy as np
 
 from .errors import ShapeMismatchError, TensorFormatError
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_MUL_2 = np.uint64(0x94D049BB133111EB)
-_SPLIT_SALT = np.uint64(0xD6E8FEB86659FD93)
+_SPLIT_SALT = 0xD6E8FEB86659FD93
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _U53_SCALE = float(2.0**-53)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+# Counter pairs per chunk of a normals draw; a thread's scratch is 2 MiB.
+_CHUNK_PAIRS = 1 << 16
 
 # Times this far outside [0, 1] are treated as grid-construction noise.
 TIME_CLAMP_SLACK = 1e-12
@@ -183,14 +196,87 @@ class TimeGrid:
             yield self.steps - k, self.values[k], self.values[k + 1]
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= _MIX_MUL_1
-    x ^= x >> np.uint64(27)
-    x *= _MIX_MUL_2
-    x ^= x >> np.uint64(31)
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied in place to uint64 ``x``; ``tmp`` is scratch of its shape."""
+    np.right_shift(x, _SHIFT_30, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _MIX_MUL_1, out=x)
+    np.right_shift(x, _SHIFT_27, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
+    np.multiply(x, _MIX_MUL_2, out=x)
+    np.right_shift(x, _SHIFT_31, out=tmp)
+    np.bitwise_xor(x, tmp, out=x)
     return x
+
+
+def _raw_into(seed: int, first: int, ramp: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Draws ``first .. first + len(out) - 1`` of stream ``seed``, written into ``out``.
+
+    ``ramp`` is ``arange(len(out)) * GAMMA`` and may be ``out`` itself.
+    """
+    np.add(ramp, np.uint64((seed + (first + 1) * _GAMMA) & _MASK64), out=out)
+    _mix64(out, tmp)
+
+
+def _gamma_ramp(n: int) -> np.ndarray:
+    ramp = np.arange(n, dtype=np.uint64)
+    np.multiply(ramp, np.uint64(_GAMMA), out=ramp)
+    return ramp
+
+
+def _fill_chunk(
+    out: np.ndarray,
+    seed: int,
+    counter: int,
+    lo: int,
+    hi: int,
+    ramp: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Box-Muller pairs ``lo .. hi-1`` of a normals draw starting at ``counter``, written to
+    ``out[2*lo : 2*hi]``. ``scratch`` is a (2, >= 2 * (hi - lo)) uint64 array owned by the caller.
+
+    Every transcendental runs on a contiguous float64 array, as in a one-shot draw.
+    """
+    m = hi - lo
+    bits, tmp = scratch[0, : 2 * m], scratch[1, : 2 * m]
+    _raw_into(seed, counter + 2 * lo, ramp[: 2 * m], bits, tmp)
+    np.right_shift(bits, _SHIFT_11, out=bits)
+    radius, angle = tmp[:m].view(np.float64), tmp[m:].view(np.float64)
+    np.add(bits[0::2], 1.0, out=radius)
+    np.multiply(radius, _U53_SCALE, out=radius)
+    np.multiply(bits[1::2], _U53_SCALE, out=angle)
+    np.multiply(angle, 2.0 * math.pi, out=angle)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    trig = bits[:m].view(np.float64)
+    np.cos(angle, out=trig)
+    np.multiply(radius, trig, out=out[2 * lo : 2 * hi : 2])
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=out[2 * lo + 1 : 2 * hi : 2])
+
+
+def _mapped_float64(count: int) -> np.ndarray:
+    """Writable float64 array in its own private anonymous mapping, outside the malloc heap.
+
+    A multi-chunk draw's result is usually cast and dropped at once. Freeing
+    it unmaps it; a hole of its size in the heap would stay resident and be
+    split by later allocations, so the process's peak memory would depend on
+    the order of earlier allocations. Like numpy's own large allocations, the
+    mapping asks for huge pages where the platform has them.
+    """
+    buf = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -199,48 +285,66 @@ class RngStream:
 
     The only mutable state is ``counter``; all draws are pure functions of
     (seed, counter position), so distinct streams are safe to use from
-    distinct threads.
+    distinct threads. One stream object must not be used by two callers at
+    once: each draw reads ``counter`` and then advances it.
+
+    ``normals`` computes a draw in fixed chunks of ``_CHUNK_PAIRS`` counter
+    pairs. A draw of more than one chunk spreads its chunks over up to one
+    thread per usable CPU; the values do not depend on the chunk size or the
+    number of threads.
     """
 
     seed: int
     counter: int = 0
 
     def __post_init__(self):
-        self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(self.seed) & _MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            states = (np.uint64(self.seed) + (idx + np.uint64(1)) * _GAMMA).astype(np.uint64)
-            out = _mix64(states)
+        bits = _gamma_ramp(n)
+        _raw_into(self.seed, self.counter, bits, bits, np.empty_like(bits))
         self.counter += n
-        return out
+        return bits
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values in [0, 1)."""
-        return np.asarray(self._raw(n) >> np.uint64(11), dtype=np.float64) * _U53_SCALE
+        return np.asarray(self._raw(n) >> _SHIFT_11, dtype=np.float64) * _U53_SCALE
 
     def normals(self, n: int) -> np.ndarray:
-        """n float64 standard normals via Box-Muller; consumes 2*ceil(n/2) draws."""
+        """n float64 standard normals via Box-Muller; consumes 2*ceil(n/2) draws.
+
+        The counter advances only once every chunk has been written; an error
+        in any chunk propagates and leaves the stream unchanged.
+        """
         pairs = (n + 1) // 2
-        bits = self._raw(2 * pairs)
-        u1 = (np.asarray(bits[0::2] >> np.uint64(11), dtype=np.float64) + 1.0) * _U53_SCALE
-        u2 = np.asarray(bits[1::2] >> np.uint64(11), dtype=np.float64) * _U53_SCALE
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * math.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        starts = range(0, pairs, _CHUNK_PAIRS)
+        out = _mapped_float64(2 * pairs) if len(starts) > 1 else np.empty(2 * pairs)
+        ramp = _gamma_ramp(2 * min(pairs, _CHUNK_PAIRS))
+        workers = 1 if len(starts) <= 1 else min(len(starts), _usable_cpus())
+        # Allocated here, not in the workers, so no thread's malloc arena keeps it.
+        scratch = np.empty((workers, 2, len(ramp)), dtype=np.uint64)
+
+        def fill(worker: int) -> None:
+            for lo in starts[worker::workers]:
+                hi = min(lo + _CHUNK_PAIRS, pairs)
+                _fill_chunk(out, self.seed, self.counter, lo, hi, ramp, scratch[worker])
+
+        if workers == 1:
+            fill(0)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(fill, range(workers)))
+        self.counter += 2 * pairs
         return out[:n]
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; deterministic in (seed, index)."""
         if index < 0:
             raise ValueError("substream index must be >= 0")
-        with np.errstate(over="ignore"):
-            base = _mix64(np.array([self.seed ^ int(_SPLIT_SALT)], dtype=np.uint64))
-            child = _mix64((base + (np.uint64(index) + np.uint64(1)) * _GAMMA).astype(np.uint64))
-        return RngStream(int(child[0]))
+        base = np.array([self.seed ^ _SPLIT_SALT], dtype=np.uint64)
+        _mix64(base, np.empty_like(base))
+        # mix64(base + (index + 1) * GAMMA) is draw ``index`` of stream ``base``.
+        return RngStream(int(RngStream(int(base[0]), index)._raw(1)[0]))
 
 
 def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> VideoLatent:

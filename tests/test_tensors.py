@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from flowsteer import (
     save_tensor,
     write_fatn,
 )
+from flowsteer import core
 from flowsteer.core import resample_mask_any, write_pgm
 from flowsteer.errors import ShapeMismatchError, TensorFormatError
 
@@ -82,6 +86,97 @@ class TestRng:
         b = r.substream(1).normals(64)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, RngStream(42).substream(0).normals(64))
+
+
+def _oracle_mix64(x):
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _oracle_normals(seed, counter, n):
+    """One-shot reference: the whole draw in one pass of array arithmetic."""
+    pairs = (n + 1) // 2
+    idx = np.arange(counter, counter + 2 * pairs, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        states = (np.uint64(seed) + (idx + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)).astype(
+            np.uint64
+        )
+    bits = _oracle_mix64(states)
+    u1 = (np.asarray(bits[0::2] >> np.uint64(11), dtype=np.float64) + 1.0) * 2.0**-53
+    u2 = np.asarray(bits[1::2] >> np.uint64(11), dtype=np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+_CHUNK = core._CHUNK_PAIRS
+
+
+class TestChunkedNormals:
+    @pytest.mark.parametrize("seed", [0, 9, 2**63 + 12345])
+    @pytest.mark.parametrize("counter", [0, 3])
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 3, 257, 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 5 * _CHUNK + 7]
+    )
+    def test_matches_one_shot_oracle(self, seed, counter, n):
+        rng = RngStream(seed, counter)
+        got = rng.normals(n)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == _oracle_normals(seed, counter, n).tobytes()
+        assert rng.counter == counter + 2 * math.ceil(n / 2)
+
+    def test_wan_size_substream_draw_matches_oracle(self):
+        child = RngStream(11).substream(0)
+        n = 1 * 16 * 21 * 60 * 104
+        assert child.normals(n).tobytes() == _oracle_normals(child.seed, 0, n).tobytes()
+        assert child.counter == n
+
+    @pytest.mark.parametrize("chunk,workers", [(1, 1), (5, 3), (64, 4)])
+    def test_independent_of_chunk_size_and_workers(self, monkeypatch, chunk, workers):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", chunk)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (1, 2 * chunk, 2 * chunk + 1, 1001):
+                got = RngStream(2**63 + 7, 5).normals(n)
+                assert got.tobytes() == _oracle_normals(2**63 + 7, 5, n).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_chunk_failure_propagates_and_keeps_counter(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        fill = core._fill_chunk
+
+        def failing_fill(out, seed, counter, lo, hi, ramp, scratch):
+            if lo == 8:
+                raise RuntimeError("chunk 2 failed")
+            fill(out, seed, counter, lo, hi, ramp, scratch)
+
+        monkeypatch.setattr(core, "_fill_chunk", failing_fill)
+        rng = RngStream(3, 6)
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            rng.normals(40)
+        assert rng.counter == 6
+
+    def test_single_chunk_draw_runs_inline(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-chunk draw must not start threads or query CPUs")
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(core, "_usable_cpus", forbidden)
+        rng = RngStream(1)
+        assert rng.normals(2 * _CHUNK).tobytes() == _oracle_normals(1, 0, 2 * _CHUNK).tobytes()
+        assert rng.uniforms(3 * _CHUNK).shape == (3 * _CHUNK,)
 
 
 class TestInterpolate:
