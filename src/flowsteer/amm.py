@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import VideoLatent
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -26,12 +27,12 @@ class AmmConfig:
     epsilon: float = 1e-7
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.f0 < 2:
-            raise ValueError(f"f0 must be >= 2, got {self.f0}")
+        if not self.gamma >= 0.0:
+            raise ConfigError("amm.gamma", f"must be >= 0, got {self.gamma}")
+        if not self.f0 >= 2:
+            raise ConfigError("amm.f0", f"must be >= 2, got {self.f0}")
         if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+            raise ConfigError("amm.epsilon", f"must be > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

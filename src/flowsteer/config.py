@@ -3,12 +3,9 @@
 Grammar: blank lines and ``#`` comment lines are ignored; ``[section]``
 lines open one of the six known sections (backend, grid, sar, amm, io,
 metrics); every other line is ``key = value``. Unknown sections or keys,
-type mismatches, and out-of-range values are rejected with the offending
-``section.key`` path. An empty file parses to the full default
-configuration.
-
-Defaults: steps 25, skip 2, n_avg 1, beta1 = beta2 = 0.3,
-tau_fraction 0.6, gamma 1.0, f0 21, epsilon 1e-7.
+type mismatches, non-finite numbers and out-of-range values are rejected
+with the offending ``section.key`` path. An empty file parses to the full
+default configuration; ``SCHEMA`` below declares every key.
 
 ``io.source`` is either a FATN latent path or a synthesis recipe
 ``gaussian:B,C,F,H,W`` drawn from substream 0 of the run seed.
@@ -20,8 +17,9 @@ letter ``F``, substituted per sweep point.
 
 from __future__ import annotations
 
-import io as _io
+import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Optional
 
@@ -109,23 +107,24 @@ def _parse_lines(text: str, origin: str) -> dict[str, dict[str, str]]:
             raise ConfigError("?", f"key before any [section] at {origin}:{lineno}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in table[section]:
             raise ConfigError(f"{section}.{key}", "duplicate key")
-        table[section][key] = value
+        table[section][key] = value.strip()
     return table
 
 
-def _take(section: dict[str, str], used: set[str], key: str) -> Optional[str]:
-    used.add(key)
-    return section.get(key)
+def _as_text(path: str, raw: str) -> str:
+    return raw
 
 
 def _as_float(path: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(path, f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _as_int(path: str, raw: str) -> int:
@@ -136,217 +135,110 @@ def _as_int(path: str, raw: str) -> int:
 
 
 def _as_bool(path: str, raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(path, f"expected true/false, got {raw!r}")
+    if raw.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+        raise ConfigError(path, f"expected true/false, got {raw!r}")
+    return raw.lower() in ("true", "1", "yes", "on")
 
 
-def _as_float_list(path: str, raw: str) -> tuple[float, ...]:
-    return tuple(_as_float(path, tok.strip()) for tok in raw.split(",") if tok.strip())
+def _list_of(convert):
+    return lambda path, raw: tuple(convert(path, t.strip()) for t in raw.split(",") if t.strip())
 
 
-def _as_int_list(path: str, raw: str) -> tuple[int, ...]:
-    return tuple(_as_int(path, tok.strip()) for tok in raw.split(",") if tok.strip())
+_as_int_list = _list_of(_as_int)
 
 
-def _check_unknown(section_name: str, section: dict[str, str], used: set[str]) -> None:
-    for key in section:
-        if key not in used:
-            raise ConfigError(f"{section_name}.{key}", "unknown key")
+def _as_layers(path: str, raw: str) -> Optional[frozenset[int]]:
+    return None if raw.lower() == "all" else frozenset(_as_int_list(path, raw))
+
+
+def _at_least(bound: int):
+    return lambda value, _: None if value >= bound else f"must be >= {bound}, got {value}"
+
+
+def _positive(value, _) -> Optional[str]:
+    return None if value > 0 else f"must be > 0, got {value}"
+
+
+def _one_of(choices: tuple[str, ...], what: str):
+    def check(value, _) -> Optional[str]:
+        unknown = [v for v in ((value,) if isinstance(value, str) else value) if v not in choices]
+        return f"unknown {what} {unknown[0]!r}" if unknown else None
+
+    return check
+
+
+def _skip(value, grid) -> Optional[str]:
+    return None if 0 <= value < grid["steps"] else f"must satisfy 0 <= skip < steps, got {value}"
+
+
+def _target_tokens(value, backend) -> Optional[str]:
+    if not value:
+        return "must name at least one token"
+    inside = all(0 <= i < backend["tokens"] for i in value)
+    return None if inside else f"indices must lie in [0, {backend['tokens']}), got {value}"
+
+
+def _layers(value, _) -> Optional[str]:
+    return f"indices must be >= 0, got {min(value)}" if value and min(value) < 0 else None
+
+
+# One row per key: (section, key, attribute, converter, check). A check gets the value
+# and the section's values so far (defaults included) and returns an error message or
+# None. Defaults live on the dataclasses; SarConfig and AmmConfig hold the sar/amm bounds.
+SCHEMA = (
+    ("backend", "type", "type", _as_text, _one_of(("gaussian", "toy_attention"), "backend")),
+    ("backend", "source_mean", "source_mean", _list_of(_as_float), None),
+    ("backend", "target_mean", "target_mean", _list_of(_as_float), None),
+    ("backend", "scale", "scale", _as_float, _positive),
+    ("backend", "tokens", "tokens", _as_int, _at_least(1)),
+    ("backend", "query_dim", "query_dim", _as_int, _at_least(1)),
+    ("backend", "temperature", "temperature", _as_float, _positive),
+    ("backend", "model_seed", "model_seed", _as_int, None),
+    ("backend", "target_tokens", "target_tokens", _as_int_list, _target_tokens),
+    ("grid", "steps", "steps", _as_int, _at_least(1)),
+    ("grid", "skip", "skip", _as_int, _skip),
+    ("grid", "n_avg", "n_avg", _as_int, _at_least(1)),
+    ("sar", "beta1", "beta1", _as_float, None),
+    ("sar", "beta2", "beta2", _as_float, None),
+    ("sar", "tau_fraction", "tau_fraction", _as_float, None),
+    ("sar", "layers", "layer_set", _as_layers, _layers),
+    ("amm", "gamma", "gamma", _as_float, None),
+    ("amm", "f0", "f0", _as_int, None),
+    ("amm", "epsilon", "epsilon", _as_float, None),
+    ("io", "scenario", "scenario", _as_text, None),
+    ("io", "source", "source", _as_text, None),
+    ("io", "mask", "mask", _as_text, None),
+    ("io", "out_dir", "out_dir", _as_text, None),
+    ("io", "seed", "seed", _as_int, None),
+    ("io", "baseline_blend", "baseline_blend", _as_bool, None),
+    ("io", "save_contrast_maps", "save_contrast_maps", _as_bool, None),
+    ("metrics", "enable", "enable", _list_of(_as_text), _one_of(KNOWN_METRICS, "metric")),
+    ("metrics", "flow", "flow", _as_text, None),
+    ("metrics", "peak", "peak", _as_float, _positive),
+    ("metrics", "embed_grid", "embed_grid", _as_int, _at_least(1)),
+    ("metrics", "edited", "edited", _as_text, None),
+)
+_DEFAULTS = RunSpec()
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunSpec:
     table = _parse_lines(text, origin)
-
-    used: set[str] = set()
-    sec = table["backend"]
-    backend_type = _take(sec, used, "type") or "gaussian"
-    if backend_type not in ("gaussian", "toy_attention"):
-        raise ConfigError("backend.type", f"unknown backend {backend_type!r}")
-    defaults = BackendSpec()
-    backend = BackendSpec(
-        type=backend_type,
-        source_mean=(
-            _as_float_list("backend.source_mean", raw)
-            if (raw := _take(sec, used, "source_mean")) is not None
-            else defaults.source_mean
-        ),
-        target_mean=(
-            _as_float_list("backend.target_mean", raw)
-            if (raw := _take(sec, used, "target_mean")) is not None
-            else defaults.target_mean
-        ),
-        scale=(
-            _as_float("backend.scale", raw)
-            if (raw := _take(sec, used, "scale")) is not None
-            else defaults.scale
-        ),
-        tokens=(
-            _as_int("backend.tokens", raw)
-            if (raw := _take(sec, used, "tokens")) is not None
-            else defaults.tokens
-        ),
-        query_dim=(
-            _as_int("backend.query_dim", raw)
-            if (raw := _take(sec, used, "query_dim")) is not None
-            else defaults.query_dim
-        ),
-        temperature=(
-            _as_float("backend.temperature", raw)
-            if (raw := _take(sec, used, "temperature")) is not None
-            else defaults.temperature
-        ),
-        model_seed=(
-            _as_int("backend.model_seed", raw)
-            if (raw := _take(sec, used, "model_seed")) is not None
-            else defaults.model_seed
-        ),
-        target_tokens=(
-            _as_int_list("backend.target_tokens", raw)
-            if (raw := _take(sec, used, "target_tokens")) is not None
-            else defaults.target_tokens
-        ),
-    )
-    if backend.scale <= 0:
-        raise ConfigError("backend.scale", f"must be > 0, got {backend.scale}")
-    if backend.tokens < 1:
-        raise ConfigError("backend.tokens", f"must be >= 1, got {backend.tokens}")
-    if backend.query_dim < 1:
-        raise ConfigError("backend.query_dim", f"must be >= 1, got {backend.query_dim}")
-    if backend.temperature <= 0:
-        raise ConfigError("backend.temperature", f"must be > 0, got {backend.temperature}")
-    if not backend.target_tokens:
-        raise ConfigError("backend.target_tokens", "must name at least one token")
-    if any(i < 0 or i >= backend.tokens for i in backend.target_tokens):
-        raise ConfigError(
-            "backend.target_tokens",
-            f"indices must lie in [0, {backend.tokens}), got {backend.target_tokens}",
-        )
-    _check_unknown("backend", sec, used)
-
-    used = set()
-    sec = table["grid"]
-    steps = _as_int("grid.steps", raw) if (raw := _take(sec, used, "steps")) is not None else 25
-    skip = _as_int("grid.skip", raw) if (raw := _take(sec, used, "skip")) is not None else 2
-    n_avg = _as_int("grid.n_avg", raw) if (raw := _take(sec, used, "n_avg")) is not None else 1
-    if steps < 1:
-        raise ConfigError("grid.steps", f"must be >= 1, got {steps}")
-    if not 0 <= skip < steps:
-        raise ConfigError("grid.skip", f"must satisfy 0 <= skip < steps, got {skip}")
-    if n_avg < 1:
-        raise ConfigError("grid.n_avg", f"must be >= 1, got {n_avg}")
-    _check_unknown("grid", sec, used)
-
-    used = set()
-    sec = table["sar"]
-    beta1 = _as_float("sar.beta1", raw) if (raw := _take(sec, used, "beta1")) is not None else 0.3
-    beta2 = _as_float("sar.beta2", raw) if (raw := _take(sec, used, "beta2")) is not None else 0.3
-    tau = (
-        _as_float("sar.tau_fraction", raw)
-        if (raw := _take(sec, used, "tau_fraction")) is not None
-        else 0.6
-    )
-    layers_raw = _take(sec, used, "layers")
-    if layers_raw is None or layers_raw.strip().lower() == "all":
-        layer_set = None
-    else:
-        layer_set = frozenset(_as_int_list("sar.layers", layers_raw))
-    if not 0.0 <= beta1 <= 1.0:
-        raise ConfigError("sar.beta1", f"must be in [0, 1], got {beta1}")
-    if not 0.0 <= beta2 <= 1.0:
-        raise ConfigError("sar.beta2", f"must be in [0, 1], got {beta2}")
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError("sar.tau_fraction", f"must be in (0, 1], got {tau}")
-    sar = SarConfig(beta1=beta1, beta2=beta2, tau_fraction=tau, layer_set=layer_set)
-    _check_unknown("sar", sec, used)
-
-    used = set()
-    sec = table["amm"]
-    gamma = _as_float("amm.gamma", raw) if (raw := _take(sec, used, "gamma")) is not None else 1.0
-    f0 = _as_int("amm.f0", raw) if (raw := _take(sec, used, "f0")) is not None else 21
-    epsilon = (
-        _as_float("amm.epsilon", raw) if (raw := _take(sec, used, "epsilon")) is not None else 1e-7
-    )
-    if gamma < 0:
-        raise ConfigError("amm.gamma", f"must be >= 0, got {gamma}")
-    if f0 < 2:
-        raise ConfigError("amm.f0", f"must be >= 2, got {f0}")
-    if epsilon <= 0:
-        raise ConfigError("amm.epsilon", f"must be > 0, got {epsilon}")
-    amm = AmmConfig(gamma=gamma, f0=f0, epsilon=epsilon)
-    _check_unknown("amm", sec, used)
-
-    used = set()
-    sec = table["io"]
-    io_defaults = IoSpec()
-    io_spec = IoSpec(
-        scenario=_take(sec, used, "scenario") or io_defaults.scenario,
-        source=_take(sec, used, "source") or io_defaults.source,
-        mask=_take(sec, used, "mask") or io_defaults.mask,
-        out_dir=_take(sec, used, "out_dir") or io_defaults.out_dir,
-        seed=(
-            _as_int("io.seed", raw)
-            if (raw := _take(sec, used, "seed")) is not None
-            else io_defaults.seed
-        ),
-        baseline_blend=(
-            _as_bool("io.baseline_blend", raw)
-            if (raw := _take(sec, used, "baseline_blend")) is not None
-            else io_defaults.baseline_blend
-        ),
-        save_contrast_maps=(
-            _as_bool("io.save_contrast_maps", raw)
-            if (raw := _take(sec, used, "save_contrast_maps")) is not None
-            else io_defaults.save_contrast_maps
-        ),
-    )
-    _check_unknown("io", sec, used)
-
-    used = set()
-    sec = table["metrics"]
-    metrics_defaults = MetricsSpec()
-    enable_raw = _take(sec, used, "enable")
-    if enable_raw is None:
-        enabled = metrics_defaults.enable
-    else:
-        enabled = tuple(tok.strip() for tok in enable_raw.split(",") if tok.strip())
-        for name in enabled:
-            if name not in KNOWN_METRICS:
-                raise ConfigError("metrics.enable", f"unknown metric {name!r}")
-    metrics = MetricsSpec(
-        enable=enabled,
-        flow=_take(sec, used, "flow") or metrics_defaults.flow,
-        peak=(
-            _as_float("metrics.peak", raw)
-            if (raw := _take(sec, used, "peak")) is not None
-            else metrics_defaults.peak
-        ),
-        embed_grid=(
-            _as_int("metrics.embed_grid", raw)
-            if (raw := _take(sec, used, "embed_grid")) is not None
-            else metrics_defaults.embed_grid
-        ),
-        edited=_take(sec, used, "edited") or metrics_defaults.edited,
-    )
-    if metrics.peak <= 0:
-        raise ConfigError("metrics.peak", f"must be > 0, got {metrics.peak}")
-    if metrics.embed_grid < 1:
-        raise ConfigError("metrics.embed_grid", f"must be >= 1, got {metrics.embed_grid}")
-    _check_unknown("metrics", sec, used)
-
-    return RunSpec(
-        backend=backend,
-        steps=steps,
-        skip=skip,
-        n_avg=n_avg,
-        sar=sar,
-        amm=amm,
-        io=io_spec,
-        metrics=metrics,
-    )
+    fields: dict[str, object] = {}
+    for section, rows in groupby(SCHEMA, key=lambda row: row[0]):
+        entries = table[section]
+        part = _DEFAULTS if section == "grid" else getattr(_DEFAULTS, section)
+        values: dict[str, object] = {}
+        for _, key, attr, convert, check in rows:
+            raw = entries.pop(key, None)
+            keep = raw is None or (convert is _as_text and not raw)  # empty text: the default
+            value = getattr(part, attr) if keep else convert(f"{section}.{key}", raw)
+            if check is not None and (problem := check(value, values)) is not None:
+                raise ConfigError(f"{section}.{key}", problem)
+            values[attr] = value
+        fields.update(values if section == "grid" else {section: type(part)(**values)})
+        for key in entries:
+            raise ConfigError(f"{section}.{key}", "unknown key")
+    return RunSpec(**fields)
 
 
 def parse_config(path: str | Path) -> RunSpec:
@@ -359,69 +251,29 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
-def emit_config(spec: RunSpec) -> str:
-    """Canonical text form; parse(emit(parse(x))) == parse(x)."""
-    out = _io.StringIO()
-    b = spec.backend
-    out.write("[backend]\n")
-    out.write(f"type = {b.type}\n")
-    out.write(f"source_mean = {_fmt(b.source_mean)}\n")
-    out.write(f"target_mean = {_fmt(b.target_mean)}\n")
-    out.write(f"scale = {_fmt(b.scale)}\n")
-    out.write(f"tokens = {b.tokens}\n")
-    out.write(f"query_dim = {b.query_dim}\n")
-    out.write(f"temperature = {_fmt(b.temperature)}\n")
-    out.write(f"model_seed = {b.model_seed}\n")
-    out.write(f"target_tokens = {_fmt(b.target_tokens)}\n")
-    out.write("\n[grid]\n")
-    out.write(f"steps = {spec.steps}\nskip = {spec.skip}\nn_avg = {spec.n_avg}\n")
-    out.write("\n[sar]\n")
-    out.write(f"beta1 = {_fmt(spec.sar.beta1)}\n")
-    out.write(f"beta2 = {_fmt(spec.sar.beta2)}\n")
-    out.write(f"tau_fraction = {_fmt(spec.sar.tau_fraction)}\n")
-    layers = "all" if spec.sar.layer_set is None else _fmt(tuple(sorted(spec.sar.layer_set)))
-    out.write(f"layers = {layers}\n")
-    out.write("\n[amm]\n")
-    out.write(f"gamma = {_fmt(spec.amm.gamma)}\n")
-    out.write(f"f0 = {spec.amm.f0}\n")
-    out.write(f"epsilon = {_fmt(spec.amm.epsilon)}\n")
-    out.write("\n[io]\n")
-    out.write(f"scenario = {spec.io.scenario}\n")
-    out.write(f"source = {spec.io.source}\n")
-    out.write(f"mask = {spec.io.mask}\n")
-    out.write(f"out_dir = {spec.io.out_dir}\n")
-    out.write(f"seed = {spec.io.seed}\n")
-    out.write(f"baseline_blend = {_fmt(spec.io.baseline_blend)}\n")
-    out.write(f"save_contrast_maps = {_fmt(spec.io.save_contrast_maps)}\n")
-    out.write("\n[metrics]\n")
-    out.write(f"enable = {_fmt(spec.metrics.enable)}\n")
-    if spec.metrics.flow:
-        out.write(f"flow = {spec.metrics.flow}\n")
-    out.write(f"peak = {_fmt(spec.metrics.peak)}\n")
-    out.write(f"embed_grid = {spec.metrics.embed_grid}\n")
-    if spec.metrics.edited:
-        out.write(f"edited = {spec.metrics.edited}\n")
-    return out.getvalue()
+    if isinstance(value, (tuple, frozenset)):
+        return ",".join(_fmt(v) for v in (sorted(value) if isinstance(value, frozenset) else value))
+    return "all" if value is None else str(value)
 
 
 def config_echo(spec: RunSpec) -> dict[str, str]:
     """Flat section.key -> value mapping for report embedding."""
     echo: dict[str, str] = {}
-    section = ""
-    for line in emit_config(spec).splitlines():
-        if not line:
-            continue
-        if line.startswith("["):
-            section = line.strip("[]")
-            continue
-        key, _, value = line.partition(" = ")
-        echo[f"{section}.{key}"] = value
+    for section, key, attr, _, _ in SCHEMA:
+        part = spec if section == "grid" else getattr(spec, section)
+        value = getattr(part, attr)
+        if value != "" or getattr(type(part), attr) != "":  # unset optional paths are left out
+            echo[f"{section}.{key}"] = _fmt(value)
     return echo
+
+
+def emit_config(spec: RunSpec) -> str:
+    """Canonical text form; parse(emit(parse(x))) == parse(x)."""
+    blocks: dict[str, str] = {}
+    for path, value in config_echo(spec).items():
+        section, _, key = path.partition(".")
+        blocks[section] = blocks.get(section, f"[{section}]\n") + f"{key} = {value}\n"
+    return "\n".join(blocks.values())
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import FrozenSet, Optional
 import numpy as np
 
 from .core import EditMask, TimeGrid
-from .errors import ShapeMismatchError
+from .errors import ConfigError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ class SarConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 <= 1.0:
-            raise ValueError(f"beta1 must be in [0, 1], got {self.beta1}")
+            raise ConfigError("sar.beta1", f"must be in [0, 1], got {self.beta1}")
         if not 0.0 <= self.beta2 <= 1.0:
-            raise ValueError(f"beta2 must be in [0, 1], got {self.beta2}")
+            raise ConfigError("sar.beta2", f"must be in [0, 1], got {self.beta2}")
         if not 0.0 < self.tau_fraction <= 1.0:
-            raise ValueError(f"tau_fraction must be in (0, 1], got {self.tau_fraction}")
+            raise ConfigError("sar.tau_fraction", f"must be in (0, 1], got {self.tau_fraction}")
 
     def applies_to_layer(self, layer: int) -> bool:
         return self.layer_set is None or layer in self.layer_set

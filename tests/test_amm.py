@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowsteer import RngStream, VideoLatent
 from flowsteer.amm import AmmConfig, ContrastMap, amplify, apply_amm, contrast_map, gamma_f
+from flowsteer.errors import ConfigError
 
 from conftest import random_latent
 
@@ -39,6 +40,12 @@ class TestGammaF:
             AmmConfig(f0=1)
         with pytest.raises(ValueError):
             AmmConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["gamma", "epsilon"])
+    def test_config_rejects_nan_naming_the_key(self, field):
+        with pytest.raises(ConfigError) as info:
+            AmmConfig(**{field: float("nan")})
+        assert info.value.key_path == f"amm.{field}"
 
 
 class TestContrastMap:

@@ -1,18 +1,36 @@
+import string
+from dataclasses import replace
+from itertools import groupby
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsteer.backends import GaussianCondition, ToyAttentionCondition
 from flowsteer.config import (
+    KNOWN_METRICS,
+    SCHEMA,
     RunSpec,
     build_backend,
     build_edit_config,
+    config_echo,
     emit_config,
     parse_config,
     parse_config_text,
     resolve_mask,
     resolve_source,
+    with_out_dir,
 )
 from flowsteer.errors import ConfigError
+
+SCHEMA_KEYS = [f"{section}.{key}" for section, key, *_ in SCHEMA]
+
+
+def one_key(key: str, raw: str) -> str:
+    section, _, name = key.partition(".")
+    return f"[{section}]\n{name} = {raw}\n"
 
 
 class TestDefaults:
@@ -185,3 +203,233 @@ class TestResolvers:
         cfg = build_edit_config(spec, mask)
         assert cfg.baseline_blend is True and cfg.seed == 9
         assert cfg.grid.steps == 25 and cfg.grid.skip == 2
+
+
+def default_of(section: str, attr: str):
+    spec = RunSpec()
+    return getattr(spec if section == "grid" else getattr(spec, section), attr)
+
+
+FLOAT_KEYS = (
+    "backend.source_mean",
+    "backend.target_mean",
+    "backend.scale",
+    "backend.temperature",
+    "sar.beta1",
+    "sar.beta2",
+    "sar.tau_fraction",
+    "amm.gamma",
+    "amm.epsilon",
+    "metrics.peak",
+)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_rejected_at_parse(self, key, raw):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(one_key(key, raw))
+        assert info.value.key_path == key
+        assert str(info.value) == f"{key}: expected a finite number, got {raw!r}"
+
+    def test_float_keys_are_the_float_rows(self):
+        def is_float(value):
+            items = value if isinstance(value, tuple) else (value,)
+            return bool(items) and all(isinstance(v, float) for v in items)
+
+        rows = {f"{s}.{k}" for s, k, attr, _, _ in SCHEMA if is_float(default_of(s, attr))}
+        assert rows == set(FLOAT_KEYS)
+
+
+OUT_OF_RANGE = {
+    "backend.type": "oracle",
+    "backend.scale": "0",
+    "backend.tokens": "0",
+    "backend.query_dim": "0",
+    "backend.temperature": "-1",
+    "backend.target_tokens": "",
+    "grid.steps": "0",
+    "grid.skip": "-1",
+    "grid.n_avg": "0",
+    "sar.beta1": "1.5",
+    "sar.beta2": "-0.1",
+    "sar.tau_fraction": "0",
+    "sar.layers": "0,-1",
+    "amm.gamma": "-0.5",
+    "amm.f0": "1",
+    "amm.epsilon": "0",
+    "metrics.enable": "masked_psnr,vibes",
+    "metrics.peak": "0",
+    "metrics.embed_grid": "0",
+}
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
+    def test_out_of_range_value_names_its_key(self, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(one_key(key, OUT_OF_RANGE[key]))
+        assert info.value.key_path == key
+
+    def test_every_bounded_key_has_a_case(self):
+        checked = {f"{s}.{k}" for s, k, _, _, check in SCHEMA if check is not None}
+        stabilizers = {key for key in SCHEMA_KEYS if key.startswith(("sar.", "amm."))}
+        assert checked | stabilizers == set(OUT_OF_RANGE)
+
+
+TEXT = (
+    st.text(alphabet=string.ascii_letters + string.digits + " _-./:,=#[]", min_size=1)
+    .map(str.strip)
+    .filter(bool)
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+# One strategy per SCHEMA row; a callable gets the section's values drawn so far.
+ROW_STRATEGIES = {
+    "backend.type": st.sampled_from(("gaussian", "toy_attention")),
+    "backend.source_mean": st.lists(FINITE, max_size=4).map(tuple),
+    "backend.target_mean": st.lists(FINITE, max_size=4).map(tuple),
+    "backend.scale": POSITIVE,
+    "backend.tokens": st.integers(1, 64),
+    "backend.query_dim": st.integers(1, 64),
+    "backend.temperature": POSITIVE,
+    "backend.model_seed": st.integers(),
+    "backend.target_tokens": lambda v: st.lists(
+        st.integers(0, v["tokens"] - 1), min_size=1, max_size=4
+    ).map(tuple),
+    "grid.steps": st.integers(1, 1000),
+    "grid.skip": lambda v: st.integers(0, v["steps"] - 1),
+    "grid.n_avg": st.integers(1, 16),
+    "sar.beta1": st.floats(0.0, 1.0),
+    "sar.beta2": st.floats(0.0, 1.0),
+    "sar.tau_fraction": st.floats(0.0, 1.0, exclude_min=True),
+    "sar.layers": st.none() | st.frozensets(st.integers(0, 64), max_size=4),
+    "amm.gamma": st.floats(min_value=0.0, allow_infinity=False),
+    "amm.f0": st.integers(min_value=2),
+    "amm.epsilon": POSITIVE,
+    "io.scenario": TEXT,
+    "io.source": TEXT,
+    "io.mask": TEXT,
+    "io.out_dir": TEXT,
+    "io.seed": st.integers(),
+    "io.baseline_blend": st.booleans(),
+    "io.save_contrast_maps": st.booleans(),
+    "metrics.enable": st.lists(st.sampled_from(KNOWN_METRICS), max_size=5).map(tuple),
+    "metrics.flow": st.just("") | TEXT,
+    "metrics.peak": POSITIVE,
+    "metrics.embed_grid": st.integers(1, 64),
+    "metrics.edited": st.just("") | TEXT,
+}
+
+
+@st.composite
+def run_specs(draw):
+    spec = RunSpec()
+    for section, rows in groupby(SCHEMA, key=lambda row: row[0]):
+        values = {}
+        for _, key, attr, _, _ in rows:
+            strategy = ROW_STRATEGIES[f"{section}.{key}"]
+            values[attr] = draw(strategy(values) if callable(strategy) else strategy)
+        if section == "grid":
+            spec = replace(spec, **values)
+        else:
+            spec = replace(spec, **{section: replace(getattr(spec, section), **values)})
+    return spec
+
+
+DEFAULT_TEXT = """[backend]
+type = gaussian
+source_mean = 0.0
+target_mean = 0.5
+scale = 1.0
+tokens = 6
+query_dim = 4
+temperature = 2.0
+model_seed = 7
+target_tokens = 0
+
+[grid]
+steps = 25
+skip = 2
+n_avg = 1
+
+[sar]
+beta1 = 0.3
+beta2 = 0.3
+tau_fraction = 0.6
+layers = all
+
+[amm]
+gamma = 1.0
+f0 = 21
+epsilon = 1e-07
+
+[io]
+scenario = run
+source = gaussian:1,4,5,8,8
+mask = ones
+out_dir = out
+seed = 0
+baseline_blend = false
+save_contrast_maps = false
+
+[metrics]
+enable = masked_psnr,frame_consistency,local_structure
+peak = 1.0
+embed_grid = 8
+"""
+
+
+class TestSchemaRoundTrip:
+    def test_strategies_cover_schema(self):
+        assert list(ROW_STRATEGIES) == SCHEMA_KEYS
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=run_specs())
+    def test_parse_inverts_emit(self, spec):
+        assert parse_config_text(emit_config(spec)) == spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=run_specs())
+    def test_echo_is_the_emitted_lines(self, spec):
+        pairs, section = [], None
+        for line in emit_config(spec).splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                key, _, value = line.partition(" = ")
+                pairs.append((f"{section}.{key}", value))
+        assert list(config_echo(spec).items()) == pairs
+
+    def test_default_text_is_pinned(self):
+        assert emit_config(RunSpec()) == DEFAULT_TEXT
+        assert parse_config_text("") == RunSpec()
+
+    def test_optional_metrics_paths_are_placed(self):
+        spec = RunSpec()
+        spec = replace(spec, metrics=replace(spec.metrics, flow="f.fatn", edited="e.fatn"))
+        head, _, metrics = emit_config(spec).partition("[metrics]\n")
+        assert head == DEFAULT_TEXT.partition("[metrics]\n")[0]
+        assert metrics == (
+            "enable = masked_psnr,frame_consistency,local_structure\n"
+            "flow = f.fatn\npeak = 1.0\nembed_grid = 8\nedited = e.fatn\n"
+        )
+
+    def test_only_unset_optional_paths_are_omitted(self):
+        echo = config_echo(with_out_dir(RunSpec(), ""))
+        assert echo["io.out_dir"] == ""
+        assert "metrics.flow" not in echo and "metrics.edited" not in echo
+
+
+class TestReadmeReference:
+    def test_table_lists_schema_keys_with_defaults(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8").split("## Configuration reference", 1)[1]
+        reference = text.split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in reference.splitlines() if line.startswith("| `")]
+        keys = [key.strip().strip("`") for key, _ in rows]
+        assert keys == SCHEMA_KEYS
+        echo = config_echo(RunSpec())
+        assert [d.strip().strip("`") for _, d in rows] == [echo.get(k, "-") for k in keys]
