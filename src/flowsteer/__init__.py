@@ -10,7 +10,7 @@ field and a toy cross-attention model, both deterministic and verifiable
 at desk scale.
 """
 
-from .amm import AmmConfig, ContrastMap, apply_amm, contrast_map, gamma_f
+from .amm import AmmConfig, apply_amm, contrast_map, gamma_f
 from .backends import (
     BackendRegistry,
     GaussianCondition,
@@ -19,7 +19,6 @@ from .backends import (
     gaussian_velocity,
     make_toy_condition_pair,
     toy_attention_velocity,
-    velocity,
 )
 from .core import (
     EditMask,
@@ -34,7 +33,7 @@ from .core import (
     save_tensor,
     write_fatn,
 )
-from .diagnostics import binarize_signal, frame_sweep, iou, magnitude_stats, signal_stats
+from .diagnostics import binarize_signal, frame_sweep, iou, magnitude_stats
 from .engine import (
     EditConfig,
     EditReport,
@@ -67,7 +66,6 @@ __all__ = [
     "AmmConfig",
     "AttentionMaps",
     "BackendRegistry",
-    "ContrastMap",
     "EditConfig",
     "EditMask",
     "EditReport",
@@ -105,13 +103,11 @@ __all__ = [
     "run_edit",
     "sample_gaussian",
     "save_tensor",
-    "signal_stats",
     "spatiotemporal_modulation",
     "st_bounds",
     "text_token_modulation",
     "token_bounds",
     "toy_attention_velocity",
-    "velocity",
     "warp_error",
     "write_fatn",
 ]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VideoLatent
 from .errors import ConfigError
 
 
@@ -35,26 +34,6 @@ class AmmConfig:
             raise ConfigError("amm.epsilon", f"must be > 0, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class ContrastMap:
-    """Per-sample normalized signal contrast, shape (B, 1, F, H, W) in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
-        if arr.ndim != 5 or arr.shape[1] != 1:
-            raise ValueError(f"contrast map must have shape (B, 1, F, H, W), got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("contrast map entries must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("contrast map entries must lie in [0, 1]")
-        arr = np.ascontiguousarray(arr)
-        arr = arr.view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-
 def gamma_f(cfg: AmmConfig, frames: int) -> float:
     """Frame-adaptive gain gamma * log(F) / log(F0); zero at F = 1."""
     if frames < 1:
@@ -62,28 +41,30 @@ def gamma_f(cfg: AmmConfig, frames: int) -> float:
     return cfg.gamma * (math.log(frames) / math.log(cfg.f0))
 
 
-def contrast_map(dv: VideoLatent, eps: float = 1e-7) -> ContrastMap:
+def contrast_map(dv: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     """Channel-mean signal, min-max normalized independently per sample.
 
-    Minima and maxima are taken over the flattened F*H*W positions of each
-    sample; the denominator carries +eps so a constant signal maps to an
-    all-zero contrast instead of 0/0.
+    ``dv`` is a float32 (B, C, F, H, W) array; the result has shape
+    (B, 1, F, H, W) and, for a finite signal, lies in [0, 1]. Minima and
+    maxima are taken over the flattened F*H*W positions of each sample; the
+    denominator carries +eps so a constant signal maps to an all-zero
+    contrast instead of 0/0.
     """
-    mean = dv.data.mean(axis=1, keepdims=True, dtype=np.float32)
+    mean = dv.mean(axis=1, keepdims=True, dtype=np.float32)
     flat = mean.reshape(mean.shape[0], -1)
     lo = flat.min(axis=1).reshape(-1, 1, 1, 1, 1)
     hi = flat.max(axis=1).reshape(-1, 1, 1, 1, 1)
-    return ContrastMap((mean - lo) / (hi - lo + np.float32(eps)))
+    return (mean - lo) / (hi - lo + np.float32(eps))
 
 
-def amplify(dv: VideoLatent, contrast: ContrastMap, gain: float) -> VideoLatent:
+def amplify(dv: np.ndarray, contrast: np.ndarray, gain: float) -> np.ndarray:
     """(1 + gain * contrast) * dv with the contrast broadcast over channels."""
     if gain < 0.0:
         raise ValueError(f"gain must be >= 0, got {gain}")
-    factor = 1.0 + np.float32(gain) * contrast.data
-    return VideoLatent(factor * dv.data)
+    factor = 1.0 + np.float32(gain) * contrast
+    return factor * dv
 
 
-def apply_amm(dv: VideoLatent, cfg: AmmConfig, frames: int) -> VideoLatent:
+def apply_amm(dv: np.ndarray, cfg: AmmConfig, frames: int) -> np.ndarray:
     """Full modulation pass; bitwise identity when frames == 1 or gamma == 0."""
     return amplify(dv, contrast_map(dv, cfg.epsilon), gamma_f(cfg, frames))

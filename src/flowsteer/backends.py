@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, VideoLatent, clamp_time
+from .core import RngStream, clamp_time
 from .errors import ShapeMismatchError, UnknownConditionError
 from .sar import AttentionMaps, TargetTokenSet
 
@@ -134,9 +134,10 @@ def make_toy_condition_pair(
 
 @dataclass(frozen=True)
 class VelocityQuery:
-    """Arguments of one conditional velocity evaluation."""
+    """Arguments of one conditional velocity evaluation; ``state`` is a float32
+    (B, C, F, H, W) array."""
 
-    state: VideoLatent
+    state: np.ndarray
     time: float
     condition: str
     attention_hook: Optional[AttentionHook] = None
@@ -145,7 +146,7 @@ class VelocityQuery:
         object.__setattr__(self, "time", clamp_time(self.time))
 
 
-def gaussian_velocity(state: VideoLatent, t: float, cond: GaussianCondition) -> VideoLatent:
+def gaussian_velocity(state: np.ndarray, t: float, cond: GaussianCondition) -> np.ndarray:
     """Closed-form velocity of the straight path between data and noise.
 
     With X ~ N(mu, s^2 I), N ~ N(0, I) and Z_t = (1 - t) X + t N, the field
@@ -158,12 +159,11 @@ def gaussian_velocity(state: VideoLatent, t: float, cond: GaussianCondition) -> 
     when s > 0, so no special-casing is needed anywhere on the grid.
     """
     t = clamp_time(t)
-    z = state.data
-    mu = cond.channel_mean(state.dims.channels)
+    mu = cond.channel_mean(state.shape[1])
     s2 = cond.scale * cond.scale
     denom = (1.0 - t) * (1.0 - t) * s2 + t * t
-    r = (z - (1.0 - t) * mu) / denom
-    return VideoLatent((t - (1.0 - t) * s2) * r - mu)
+    r = (state - (1.0 - t) * mu) / denom
+    return (t - (1.0 - t) * s2) * r - mu
 
 
 def _voxel_features(state: np.ndarray, sample: int) -> np.ndarray:
@@ -178,44 +178,49 @@ def _voxel_features(state: np.ndarray, sample: int) -> np.ndarray:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    # 0 * min is +-0 while every logit is finite and NaN once one is -inf or NaN (+inf
+    # already makes its row NaN), so no non-finite logit passes as an exact zero weight.
+    shift = logits.max(axis=1, keepdims=True) + 0 * logits.min()
+    probs = logits - shift
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def toy_attention_velocity(
-    state: VideoLatent,
+    state: np.ndarray,
     t: float,
     cond: ToyAttentionCondition,
     hook: Optional[AttentionHook] = None,
     layer: int = 0,
-) -> tuple[VideoLatent, list[AttentionMaps]]:
+) -> tuple[np.ndarray, list[AttentionMaps]]:
     """Attention-mixed velocity plus the post-hook, post-softmax maps per sample.
 
     Queries are a fixed linear map of voxel coordinates and local channel
     values; logits are (Q K^T) / temperature. The hook, when given, runs on
     the pre-softmax logits of each sample.
     """
-    batch, channels, frames, height, width = state.dims
+    batch, channels, frames, height, width = state.shape
     if cond.channels != channels:
         raise ShapeMismatchError(
             f"condition produces {cond.channels} channels, latent has {channels}"
         )
     dims = (frames, height, width, cond.tokens)
-    out = np.empty(state.data.shape, dtype=np.float32)
+    outs = []
     maps: list[AttentionMaps] = []
     for b in range(batch):
-        feats = _voxel_features(state.data, b)
+        feats = _voxel_features(state, b)
         queries = feats @ cond.query_weights
-        logits = (queries @ cond.text_keys.T) / np.float32(cond.temperature)
+        logits = queries @ cond.text_keys.T
+        logits /= np.float32(cond.temperature)
         attn = AttentionMaps(logits, dims)
         if hook is not None:
             attn = hook(attn, layer)
         probs = _softmax_rows(attn.logits)
         mixed = probs @ cond.text_values  # (F*H*W, C)
-        out[b] = mixed.T.reshape(channels, frames, height, width)
+        outs.append(mixed.T.reshape(channels, frames, height, width))
         maps.append(AttentionMaps(probs, dims))
-    return VideoLatent(out), maps
+    return np.stack(outs), maps
 
 
 class BackendRegistry:
@@ -236,13 +241,13 @@ class BackendRegistry:
     def has(self, name: str) -> bool:
         return name in self._conditions
 
-    def velocity(self, query: VelocityQuery) -> VideoLatent:
+    def velocity(self, query: VelocityQuery) -> np.ndarray:
         vel, _ = self.velocity_with_maps(query)
         return vel
 
     def velocity_with_maps(
         self, query: VelocityQuery
-    ) -> tuple[VideoLatent, list[AttentionMaps]]:
+    ) -> tuple[np.ndarray, list[AttentionMaps]]:
         """Dispatch a query; attention maps are empty for map-free backends."""
         cond = self.condition(query.condition)
         if isinstance(cond, GaussianCondition):
@@ -252,8 +257,3 @@ class BackendRegistry:
                 query.state, query.time, cond, hook=query.attention_hook
             )
         raise UnknownConditionError(f"no backend for condition type {type(cond).__name__}")
-
-
-def velocity(registry: BackendRegistry, query: VelocityQuery) -> VideoLatent:
-    """Module-level convenience wrapper over BackendRegistry.velocity."""
-    return registry.velocity(query)

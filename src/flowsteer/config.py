@@ -295,7 +295,7 @@ def resolve_source(spec: RunSpec, frames: Optional[int] = None) -> VideoLatent:
         dims = _as_int_list("io.source", recipe.removeprefix("gaussian:"))
         if len(dims) != 5 or any(d < 1 for d in dims):
             raise ConfigError("io.source", f"recipe needs 5 positive dims, got {recipe!r}")
-        return sample_gaussian(RngStream(spec.io.seed).substream(0), dims)
+        return VideoLatent(sample_gaussian(RngStream(spec.io.seed).substream(0), dims))
     path = Path(recipe)
     if not path.exists():
         raise ConfigError("io.source", f"file not found: {recipe}")
@@ -339,18 +339,25 @@ def resolve_mask(spec: RunSpec, latent: VideoLatent, frames: Optional[int] = Non
 
 
 def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
-    """Register the source/target condition pair the spec describes."""
+    """Register the source/target condition pair the spec describes.
+
+    A Gaussian mean needs 1 entry or one per channel of ``latent``.
+    """
     registry = BackendRegistry()
     b = spec.backend
     if b.type == "gaussian":
-        registry.register(
-            SOURCE_CONDITION,
-            GaussianCondition(np.asarray(b.source_mean, dtype=np.float32), b.scale),
-        )
-        registry.register(
-            TARGET_CONDITION,
-            GaussianCondition(np.asarray(b.target_mean, dtype=np.float32), b.scale),
-        )
+        channels = latent.dims.channels
+        for key, name, mean in (
+            ("source_mean", SOURCE_CONDITION, b.source_mean),
+            ("target_mean", TARGET_CONDITION, b.target_mean),
+        ):
+            if len(mean) not in (1, channels):
+                raise ConfigError(
+                    f"backend.{key}",
+                    f"needs 1 or {channels} entries (the source latent's channels), "
+                    f"got {len(mean)}",
+                )
+            registry.register(name, GaussianCondition(np.asarray(mean, dtype=np.float32), b.scale))
     else:
         src, tar = make_toy_condition_pair(
             b.model_seed,

@@ -4,6 +4,9 @@ Conventions fixed here and relied on by every other module:
 
 * Video latents are ``float32`` arrays of shape ``(B, C, F, H, W)`` stored in
   C order (W fastest, then H, F, C, B). All entries must be finite.
+  ``VideoLatent`` is the checked boundary type: finiteness is checked when a
+  latent is loaded or synthesized, and the editing loop checks its state once
+  at the end of each step. Inside a step, layers pass plain arrays.
 
 * Tensor files ("FATN") carry an ASCII header line
   ``FATN <ndim> <d1> ... <dn>\\n`` followed by a little-endian float32
@@ -347,13 +350,16 @@ class RngStream:
         return RngStream(int(RngStream(int(base[0]), index)._raw(1)[0]))
 
 
-def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> VideoLatent:
-    """Draw an i.i.d. standard-normal latent of the given (B, C, F, H, W) dims."""
+def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> np.ndarray:
+    """Draw an i.i.d. standard-normal float32 array of the given (B, C, F, H, W) dims.
+
+    Box-Muller output is finite by construction, so the draw is not checked.
+    """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 5 or any(d < 1 for d in dims):
         raise ShapeMismatchError(f"dims must be 5 positive integers, got {dims}")
     n = int(np.prod(dims))
-    return VideoLatent(rng.normals(n).astype(np.float32).reshape(dims))
+    return rng.normals(n).astype(np.float32).reshape(dims)
 
 
 def clamp_time(t: float) -> float:
@@ -367,18 +373,16 @@ def clamp_time(t: float) -> float:
     return float(t)
 
 
-def interpolate_source(x_src: VideoLatent, noise: VideoLatent, t: float) -> VideoLatent:
+def interpolate_source(x_src: np.ndarray, noise: np.ndarray, t: float) -> np.ndarray:
     """(1 - t) * x_src + t * noise, elementwise; exact at both endpoints."""
-    if x_src.data.shape != noise.data.shape:
-        raise ShapeMismatchError(
-            f"source shape {x_src.data.shape} != noise shape {noise.data.shape}"
-        )
+    if x_src.shape != noise.shape:
+        raise ShapeMismatchError(f"source shape {x_src.shape} != noise shape {noise.shape}")
     t = clamp_time(t)
     if t == 0.0:
-        return VideoLatent(x_src.data.copy())
+        return x_src.copy()
     if t == 1.0:
-        return VideoLatent(noise.data.copy())
-    return VideoLatent((1.0 - t) * x_src.data + t * noise.data)
+        return noise.copy()
+    return (1.0 - t) * x_src + t * noise
 
 
 # ---------------------------------------------------------------------------

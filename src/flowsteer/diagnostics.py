@@ -3,9 +3,10 @@ and frame-count sweeps.
 
 The binarization reuses the modulation module's per-sample min-max
 normalization, applied to the channel-mean absolute signal, and cuts at a
-configurable threshold (default 0.5). The threshold is echoed into every
-report so results are self-describing. IoU of two empty sets is defined as
-1 (perfect agreement of emptiness).
+threshold. Runs cut at ``DEFAULT_BINARIZE_THRESHOLD`` (0.5), which every
+report echoes so results are self-describing. IoU of two empty sets is
+defined as 1 (perfect agreement of emptiness). Signals are float32
+(B, C, F, H, W) arrays.
 
 No claim is made that the toy backends reproduce any particular attenuation
 trend over frame counts; the sweep is bookkeeping around real runs.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,22 +30,8 @@ DEFAULT_BINARIZE_THRESHOLD = 0.5
 SWEEP_CSV_HEADER = ("F", "step", "mean_abs", "iou", "gamma_f")
 
 
-@dataclass(frozen=True)
-class SignalStats:
-    step: int
-    mean_abs: float
-    per_frame_mean_abs: tuple[float, ...]
-    iou: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.iou <= 1.0:
-            raise ValueError(f"iou must be in [0, 1], got {self.iou}")
-        if self.mean_abs < 0.0:
-            raise ValueError(f"mean_abs must be >= 0, got {self.mean_abs}")
-
-
 def binarize_signal(
-    dv: VideoLatent,
+    dv: np.ndarray,
     threshold: float = DEFAULT_BINARIZE_THRESHOLD,
     eps: float = 1e-7,
 ) -> np.ndarray:
@@ -56,8 +43,7 @@ def binarize_signal(
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    magnitude = VideoLatent(np.abs(dv.data))
-    normalized = contrast_map(magnitude, eps).data[:, 0]
+    normalized = contrast_map(np.abs(dv), eps)[:, 0]
     return (normalized > threshold).astype(np.uint8)
 
 
@@ -75,28 +61,12 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def magnitude_stats(dv: VideoLatent) -> tuple[float, tuple[float, ...]]:
+def magnitude_stats(dv: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """(mean |dv| over all entries, mean |dv| per latent frame)."""
-    mag = np.abs(dv.data)
+    mag = np.abs(dv)
     overall = float(mag.mean(dtype=np.float64))
-    per_frame = tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(dv.dims.frames))
+    per_frame = tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(dv.shape[2]))
     return overall, per_frame
-
-
-def signal_stats(
-    dv: VideoLatent,
-    mask: EditMask,
-    step: int,
-    threshold: float = DEFAULT_BINARIZE_THRESHOLD,
-) -> SignalStats:
-    """Bundle magnitude stats with the IoU of the binarized signal vs. the mask.
-
-    With a batch, the IoU is averaged over samples.
-    """
-    mean_abs, per_frame = magnitude_stats(dv)
-    binary = binarize_signal(dv, threshold)
-    scores = [iou(binary[b], mask.data) for b in range(binary.shape[0])]
-    return SignalStats(step, mean_abs, per_frame, float(np.mean(scores)))
 
 
 def frame_sweep(
@@ -104,7 +74,6 @@ def frame_sweep(
     base_cfg,
     backend,
     frame_counts: Sequence[int],
-    threshold: float = DEFAULT_BINARIZE_THRESHOLD,
 ) -> list[tuple[int, int, float, float, float]]:
     """Run one edit per frame count and tabulate per-step diagnostics.
 
@@ -113,8 +82,6 @@ def frame_sweep(
     ``base_cfg`` so runs are comparable. Rows are
     (F, step, mean_abs, iou, gamma_f).
     """
-    from dataclasses import replace
-
     from .engine import run_edit
 
     rows: list[tuple[int, int, float, float, float]] = []
@@ -124,7 +91,7 @@ def frame_sweep(
             raise ShapeMismatchError(
                 f"family returned {x_src.dims.frames} frames, requested {frames}"
             )
-        cfg = replace(base_cfg, mask=mask, binarize_threshold=threshold)
+        cfg = replace(base_cfg, mask=mask)
         _, report = run_edit(x_src, cfg, backend)
         gain = gamma_f(cfg.amm, frames)
         for rec in report.steps:

@@ -14,6 +14,13 @@ target- and source-conditioned velocities:
 The attention hook (mask-anchored logit refinement) applies to the target
 evaluation only. The first ``grid.skip`` intervals contribute no update.
 
+Inside a step the layers pass plain float32 arrays; ``VideoLatent`` is the
+checked type only at the run's input and result. Non-finite values are not
+checked where they arise: they propagate into the updated state, which is
+checked once per step, before the baseline blend could replace them, and a
+non-finite state raises ``NonFiniteStateError`` naming the step. Other
+errors, such as a target token index out of range, propagate unchanged.
+
 Determinism and attribution: the run seed spawns one substream per step
 index, so a step's noise depends only on (seed, step index, draw index).
 Skipping more initial steps therefore changes the outcome only through the
@@ -34,7 +41,7 @@ import numpy as np
 from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import BackendRegistry, VelocityQuery
 from .core import EditMask, RngStream, TimeGrid, VideoLatent, interpolate_source, sample_gaussian
-from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, binarize_signal, iou, magnitude_stats
+from .diagnostics import binarize_signal, iou, magnitude_stats
 from .errors import NonFiniteStateError, ShapeMismatchError, UnknownConditionError
 from .sar import AttentionMaps, SarConfig, TargetTokenSet, apply_sar
 
@@ -55,7 +62,6 @@ class EditConfig:
     baseline_blend: bool = False
     record_contrast: bool = False
     record_states: bool = False
-    binarize_threshold: float = DEFAULT_BINARIZE_THRESHOLD
 
     def __post_init__(self):
         if self.n_avg < 1:
@@ -86,38 +92,26 @@ class EditReport:
     seed: int
     frames: int
     gain: float
-    binarize_threshold: float
     steps: list[StepRecord] = field(default_factory=list)
 
 
-@dataclass
-class SignalSample:
-    """One step's editing signal plus the raw material that produced it."""
-
-    dv: VideoLatent
-    noises: list[VideoLatent]
-    attention_maps: list[list[AttentionMaps]]
-    z_src: list[VideoLatent]
-    z_tar: list[VideoLatent]
-
-
-def couple_target(z_edit: VideoLatent, z_src: VideoLatent, x_src: VideoLatent) -> VideoLatent:
+def couple_target(z_edit: np.ndarray, z_src: np.ndarray, x_src: np.ndarray) -> np.ndarray:
     """Target state z_edit + z_src - x_src, grouped difference-first."""
-    if not (z_edit.data.shape == z_src.data.shape == x_src.data.shape):
+    if not (z_edit.shape == z_src.shape == x_src.shape):
         raise ShapeMismatchError("coupling operands must share one shape")
-    return VideoLatent((z_edit.data - x_src.data) + z_src.data)
+    return (z_edit - x_src) + z_src
 
 
-def blend_baseline(z_edit: VideoLatent, z_reference: VideoLatent, mask: EditMask) -> VideoLatent:
+def blend_baseline(z_edit: np.ndarray, z_reference: np.ndarray, mask: EditMask) -> np.ndarray:
     """Keep z_edit inside the mask, the reference outside; exact selection."""
-    if z_edit.data.shape != z_reference.data.shape:
+    if z_edit.shape != z_reference.shape:
         raise ShapeMismatchError("blend operands must share one shape")
-    if mask.shape != z_edit.data.shape[2:]:
+    if mask.shape != z_edit.shape[2:]:
         raise ShapeMismatchError(
-            f"mask shape {mask.shape} does not match latent grid {z_edit.data.shape[2:]}"
+            f"mask shape {mask.shape} does not match latent grid {z_edit.shape[2:]}"
         )
     keep = mask.data.astype(bool)[None, None]
-    return VideoLatent(np.where(keep, z_edit.data, z_reference.data))
+    return np.where(keep, z_edit, z_reference)
 
 
 def _sar_hook(cfg: EditConfig, t: float):
@@ -128,42 +122,44 @@ def _sar_hook(cfg: EditConfig, t: float):
 
 
 def editing_signal(
-    z_edit: VideoLatent,
-    x_src: VideoLatent,
+    z_edit: np.ndarray,
+    x_src: np.ndarray,
     t: float,
     cfg: EditConfig,
     backend: BackendRegistry,
     rng: RngStream,
-    keep_states: bool = False,
-) -> SignalSample:
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Average of v_target(z_tar) - v_source(z_src) over n_avg noise draws.
 
-    The refinement hook is installed on the target evaluation only; the
-    source velocity sees raw attention. Draws accumulate in a fixed
-    sequential order so the mean is reproducible.
+    Returns ``(dv, noise, z_src, z_tar)``: the mean signal and the first
+    draw's noise and states. The states are None unless
+    ``cfg.record_states`` is set. The refinement hook is installed on the
+    target evaluation only; the source velocity sees raw attention. Draws
+    accumulate in a fixed sequential order so the mean is reproducible.
     """
     hook = _sar_hook(cfg, t)
-    acc = np.zeros(x_src.data.shape, dtype=np.float32)
-    noises: list[VideoLatent] = []
-    maps_per_draw: list[list[AttentionMaps]] = []
-    srcs: list[VideoLatent] = []
-    tars: list[VideoLatent] = []
-    for _ in range(cfg.n_avg):
-        noise = sample_gaussian(rng, x_src.data.shape)
+    acc = np.zeros(x_src.shape, dtype=np.float32)
+    for draw in range(cfg.n_avg):
+        noise = sample_gaussian(rng, x_src.shape)
         z_src = interpolate_source(x_src, noise, t)
         z_tar = couple_target(z_edit, z_src, x_src)
-        v_tar, maps = backend.velocity_with_maps(
-            VelocityQuery(z_tar, t, cfg.target_condition, attention_hook=hook)
-        )
+        v_tar = backend.velocity(VelocityQuery(z_tar, t, cfg.target_condition, attention_hook=hook))
         v_src = backend.velocity(VelocityQuery(z_src, t, cfg.source_condition))
-        acc += v_tar.data - v_src.data
-        noises.append(noise)
-        maps_per_draw.append(maps)
-        if keep_states:
-            srcs.append(z_src)
-            tars.append(z_tar)
-    dv = VideoLatent(acc / np.float32(cfg.n_avg))
-    return SignalSample(dv, noises, maps_per_draw, srcs, tars)
+        acc += v_tar - v_src
+        if draw == 0:
+            first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
+    return (acc / np.float32(cfg.n_avg), *first)
+
+
+def _signal_stats(dv: np.ndarray, cfg: EditConfig) -> tuple[float, tuple[float, ...], float]:
+    """(mean |dv|, per-frame mean |dv|, IoU of the binarized signal vs. the mask).
+
+    With a batch, the IoU is averaged over samples.
+    """
+    mean_abs, per_frame = magnitude_stats(dv)
+    binary = binarize_signal(dv, eps=cfg.amm.epsilon)
+    score = float(np.mean([iou(binary[b], cfg.mask.data) for b in range(binary.shape[0])]))
+    return mean_abs, per_frame, score
 
 
 def run_edit(
@@ -171,7 +167,11 @@ def run_edit(
     cfg: EditConfig,
     backend: BackendRegistry,
 ) -> tuple[VideoLatent, EditReport]:
-    """Drive the editing trajectory across the grid and report per-step stats."""
+    """Drive the editing trajectory across the grid and report per-step stats.
+
+    The state is checked for finiteness once per step, before the baseline
+    blend; a non-finite state raises NonFiniteStateError naming the step.
+    """
     if cfg.mask.shape != x_src.data.shape[2:]:
         raise ShapeMismatchError(
             f"mask shape {cfg.mask.shape} does not match latent grid {x_src.data.shape[2:]}"
@@ -181,34 +181,22 @@ def run_edit(
             raise UnknownConditionError(f"unknown condition {name!r}")
     frames = x_src.dims.frames
     gain = gamma_f(cfg.amm, frames)
-    report = EditReport(
-        seed=cfg.seed,
-        frames=frames,
-        gain=gain,
-        binarize_threshold=cfg.binarize_threshold,
-    )
+    report = EditReport(seed=cfg.seed, frames=frames, gain=gain)
     run_rng = RngStream(cfg.seed)
-    z_edit = x_src
+    x = z_edit = x_src.data
     for index, t, t_next in cfg.grid.intervals():
-        step_rng = run_rng.substream(index)
-        try:
-            sample = editing_signal(
-                z_edit, x_src, t, cfg, backend, step_rng, keep_states=cfg.record_states
-            )
-            contrast = contrast_map(sample.dv, cfg.amm.epsilon)
-            dv_amm = amplify(sample.dv, contrast, gain)
-            z_next = VideoLatent(z_edit.data + (t_next - t) * dv_amm.data)
-        except ShapeMismatchError:
-            raise
-        except ValueError as exc:
-            raise NonFiniteStateError(index, str(exc)) from exc
+        dv, noise, z_src, z_tar = editing_signal(
+            z_edit, x, t, cfg, backend, run_rng.substream(index)
+        )
+        contrast = contrast_map(dv, cfg.amm.epsilon)
+        dv_amm = amplify(dv, contrast, gain)
+        z_next = z_edit + (t_next - t) * dv_amm
+        if not np.isfinite(z_next).all():
+            raise NonFiniteStateError(index, "latent entries must be finite")
         if cfg.baseline_blend:
-            reference = interpolate_source(x_src, sample.noises[0], t_next)
-            z_next = blend_baseline(z_next, reference, cfg.mask)
-        mean_abs, per_frame = magnitude_stats(sample.dv)
-        mean_abs_amm, _ = magnitude_stats(dv_amm)
-        binary = binarize_signal(sample.dv, cfg.binarize_threshold, cfg.amm.epsilon)
-        binary_amm = binarize_signal(dv_amm, cfg.binarize_threshold, cfg.amm.epsilon)
+            z_next = blend_baseline(z_next, interpolate_source(x, noise, t_next), cfg.mask)
+        mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg)
+        mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg)
         record = StepRecord(
             index=index,
             t=t,
@@ -216,15 +204,13 @@ def run_edit(
             mean_abs=mean_abs,
             mean_abs_amm=mean_abs_amm,
             per_frame_mean_abs=per_frame,
-            iou=float(np.mean([iou(binary[b], cfg.mask.data) for b in range(binary.shape[0])])),
-            iou_amm=float(
-                np.mean([iou(binary_amm[b], cfg.mask.data) for b in range(binary_amm.shape[0])])
-            ),
-            contrast=contrast.data.copy() if cfg.record_contrast else None,
-            z_src=sample.z_src[0].data if cfg.record_states else None,
-            z_tar=sample.z_tar[0].data if cfg.record_states else None,
-            z_edit_before=z_edit.data if cfg.record_states else None,
+            iou=iou_dv,
+            iou_amm=iou_amm,
+            contrast=contrast if cfg.record_contrast else None,
+            z_src=z_src,
+            z_tar=z_tar,
+            z_edit_before=z_edit if cfg.record_states else None,
         )
         report.steps.append(record)
         z_edit = z_next
-    return z_edit, report
+    return VideoLatent(z_edit), report

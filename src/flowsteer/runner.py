@@ -36,7 +36,7 @@ from .config import (
     resolve_source,
 )
 from .core import EditMask, VideoLatent, read_fatn, save_tensor, write_pgm
-from .diagnostics import sweep_rows_to_csv
+from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, sweep_rows_to_csv
 from .engine import EditReport, run_edit
 from .errors import ConfigError, FlowSteerError
 from .metrics import (
@@ -134,7 +134,7 @@ def report_to_json(
     if report is not None:
         doc["frames"] = report.frames
         doc["gain"] = report.gain
-        doc["binarize_threshold"] = report.binarize_threshold
+        doc["binarize_threshold"] = DEFAULT_BINARIZE_THRESHOLD
         doc["steps"] = [
             {
                 "index": rec.index,

@@ -130,22 +130,20 @@ def check_amm_bounds() -> tuple[bool, str]:
         b = 1 + int(rng.uniforms(1)[0] * 2)
         frames = 1 + int(rng.uniforms(1)[0] * 6)
         dims = (b, 2, frames, 2, 2)
-        dv = VideoLatent(
-            (rng.normals(int(np.prod(dims))) * 3.0).astype(np.float32).reshape(dims)
-        )
+        dv = (rng.normals(int(np.prod(dims))) * 3.0).astype(np.float32).reshape(dims)
         gamma = float(rng.uniforms(1)[0] * 2.5)
         cfg = AmmConfig(gamma=gamma, f0=21)
         gain = gamma_f(cfg, frames)
         cm = contrast_map(dv, cfg.epsilon)
-        if cm.data.min() < 0.0 or cm.data.max() > 1.0:
+        if cm.min() < 0.0 or cm.max() > 1.0:
             return False, "contrast left [0, 1]"
-        factor = 1.0 + np.float32(gain) * cm.data
+        factor = 1.0 + np.float32(gain) * cm
         if (factor < 1.0).any() or (factor > 1.0 + np.float32(gain)).any():
             return False, "multiplier left [1, 1+gain]"
         out = apply_amm(dv, cfg, frames)
-        if (np.sign(out.data) * np.sign(dv.data) < 0).any():
+        if (np.sign(out) * np.sign(dv) < 0).any():
             return False, "sign flipped"
-        if (np.abs(out.data) < np.abs(dv.data)).any():
+        if (np.abs(out) < np.abs(dv)).any():
             return False, "magnitude shrank"
     return True, "10000 signals within bounds"
 
@@ -256,10 +254,10 @@ def check_gaussian_velocity_oracle() -> tuple[bool, str]:
         sigma_z = np.sqrt((1.0 - t) ** 2 * s * s + t * t)
         z = (1.0 - t) * mu + u * sigma_z
         # closed form via the shipped implementation
-        state = VideoLatent(np.full((1, 1, 1, 1, 1), z, dtype=np.float32))
+        state = np.full((1, 1, 1, 1, 1), z, dtype=np.float32)
         from .backends import gaussian_velocity
 
-        closed = gaussian_velocity(state, t, GaussianCondition(np.float32(mu), s)).data.item()
+        closed = gaussian_velocity(state, t, GaussianCondition(np.float32(mu), s)).item()
         if abs(closed) < 2.0:
             continue  # relative comparison is ill-conditioned near zero
         estimate = _mc_velocity_estimate(gen, mu, s, t, z)
@@ -280,8 +278,8 @@ def check_generation_sanity() -> tuple[bool, str]:
     z = RngStream(606).normals(1000 * 2 * 4).astype(np.float32).reshape(1000, 2, 1, 2, 2)
     times = np.linspace(1.0, 0.0, 1001)
     for k in range(1000):
-        v = registry.velocity(VelocityQuery(VideoLatent(z), float(times[k]), "gen"))
-        z = z + np.float32(times[k + 1] - times[k]) * v.data
+        v = registry.velocity(VelocityQuery(z, float(times[k]), "gen"))
+        z = z + np.float32(times[k + 1] - times[k]) * v
     errs = [abs(float(z[:, c].mean()) - float(mu[c])) for c in range(2)]
     if max(errs) >= 0.1 * s:
         return False, f"channel means off by {errs}"

@@ -10,7 +10,6 @@ from flowsteer.backends import (
     gaussian_velocity,
     make_toy_condition_pair,
     toy_attention_velocity,
-    velocity,
 )
 from flowsteer.errors import ShapeMismatchError, UnknownConditionError
 from flowsteer.sar import TargetTokenSet
@@ -46,22 +45,22 @@ class TestGaussianVelocity:
     def test_centered_symmetric_case_is_zero(self):
         cond = GaussianCondition(np.float32(0.0), 1.0)
         z = VideoLatent(np.zeros((1, 1, 1, 2, 2), dtype=np.float32))
-        v = gaussian_velocity(z, 0.5, cond)
-        assert np.array_equal(v.data, np.zeros_like(v.data))
+        v = gaussian_velocity(z.data, 0.5, cond)
+        assert np.array_equal(v, np.zeros_like(v))
 
     def test_equal_variance_case_is_zero_for_any_state(self):
         # mu=0, s=1, t=0.5: the two conditional terms cancel exactly
         cond = GaussianCondition(np.float32(0.0), 1.0)
         z = VideoLatent(np.full((1, 1, 1, 1, 1), 1.0, dtype=np.float32))
-        v = gaussian_velocity(z, 0.5, cond)
-        assert abs(v.data.item()) < 1e-7
+        v = gaussian_velocity(z.data, 0.5, cond)
+        assert abs(v.item()) < 1e-7
 
     def test_t_one_limit(self):
         # at t=1 the state is pure noise: E[N|z]=z, E[X|z]=mu
         cond = GaussianCondition(np.float32(0.7), 2.0)
         z = VideoLatent(np.full((1, 1, 1, 1, 1), 1.5, dtype=np.float32))
-        v = gaussian_velocity(z, 1.0, cond)
-        assert np.allclose(v.data, 1.5 - 0.7, atol=1e-6)
+        v = gaussian_velocity(z.data, 1.0, cond)
+        assert np.allclose(v, 1.5 - 0.7, atol=1e-6)
 
     def test_matches_monte_carlo_oracle(self):
         cases = [(1.4, 0.8, 0.4, 2.0), (-2.0, 1.3, 0.6, -1.0), (3.0, 0.7, 0.3, 2.5)]
@@ -69,7 +68,7 @@ class TestGaussianVelocity:
             est = mc_conditional_velocity(mu, s, t, z)
             cond = GaussianCondition(np.float32(mu), s)
             lat = VideoLatent(np.full((1, 1, 1, 1, 1), z, dtype=np.float32))
-            closed = gaussian_velocity(lat, t, cond).data.item()
+            closed = gaussian_velocity(lat.data, t, cond).item()
             assert abs(closed - est) < 0.02 * max(abs(closed), 1.0)
 
     def test_affine_in_state(self):
@@ -77,21 +76,19 @@ class TestGaussianVelocity:
         cond = GaussianCondition(np.array([0.3, -0.2], dtype=np.float32), 1.1)
         z1, z2 = random_latent(rng), random_latent(rng)
         for alpha in (0.25, 0.5, 0.9):
-            mixed = VideoLatent(
-                np.float32(alpha) * z1.data + np.float32(1 - alpha) * z2.data
-            )
-            lhs = gaussian_velocity(mixed, 0.37, cond).data
+            mixed = np.float32(alpha) * z1.data + np.float32(1 - alpha) * z2.data
+            lhs = gaussian_velocity(mixed, 0.37, cond)
             rhs = (
-                np.float32(alpha) * gaussian_velocity(z1, 0.37, cond).data
-                + np.float32(1 - alpha) * gaussian_velocity(z2, 0.37, cond).data
+                np.float32(alpha) * gaussian_velocity(z1.data, 0.37, cond)
+                + np.float32(1 - alpha) * gaussian_velocity(z2.data, 0.37, cond)
             )
             assert np.allclose(lhs, rhs, rtol=1e-6, atol=1e-6)
 
     def test_per_channel_mean_broadcast(self):
         cond = GaussianCondition(np.array([1.0, -1.0], dtype=np.float32), 1.0)
         z = VideoLatent(np.zeros((1, 2, 1, 1, 1), dtype=np.float32))
-        v = gaussian_velocity(z, 0.999999, cond)
-        assert v.data[0, 0, 0, 0, 0] < 0 < v.data[0, 1, 0, 0, 0]
+        v = gaussian_velocity(z.data, 0.999999, cond)
+        assert v[0, 0, 0, 0, 0] < 0 < v[0, 1, 0, 0, 0]
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -106,8 +103,8 @@ class TestGaussianVelocity:
         z = rng.normals(200 * 4).astype(np.float32).reshape(200, 1, 1, 2, 2)
         times = np.linspace(1.0, 0.0, steps + 1)
         for k in range(steps):
-            v = gaussian_velocity(VideoLatent(z), times[k], cond)
-            z = z + np.float32(times[k + 1] - times[k]) * v.data
+            v = gaussian_velocity(z, times[k], cond)
+            z = z + np.float32(times[k + 1] - times[k]) * v
         assert abs(z.mean() - mu) < 0.1 * s
         assert abs(z.std() - s) < 0.1 * s
 
@@ -121,7 +118,7 @@ class TestToyAttention:
     def test_single_token_rows_are_one(self):
         src, _, _ = self.make(tokens=1)
         state = random_latent(RngStream(1), (1, 2, 2, 3, 3))
-        _, maps = toy_attention_velocity(state, 0.8, src)
+        _, maps = toy_attention_velocity(state.data, 0.8, src)
         assert np.array_equal(maps[0].logits, np.ones_like(maps[0].logits))
 
     def test_high_temperature_is_uniform(self):
@@ -130,28 +127,28 @@ class TestToyAttention:
             src.text_keys, src.text_values, src.query_weights, temperature=1e9
         )
         state = random_latent(RngStream(2), (1, 2, 2, 3, 3))
-        _, maps = toy_attention_velocity(state, 0.8, hot)
+        _, maps = toy_attention_velocity(state.data, 0.8, hot)
         assert np.allclose(maps[0].logits, 0.25, atol=1e-6)
 
     def test_deterministic(self):
         src, _, _ = self.make()
         state = random_latent(RngStream(3), (2, 2, 2, 3, 3))
-        v1, m1 = toy_attention_velocity(state, 0.8, src)
-        v2, m2 = toy_attention_velocity(state, 0.8, src)
-        assert np.array_equal(v1.data, v2.data)
+        v1, m1 = toy_attention_velocity(state.data, 0.8, src)
+        v2, m2 = toy_attention_velocity(state.data, 0.8, src)
+        assert np.array_equal(v1, v2)
         assert all(np.array_equal(a.logits, b.logits) for a, b in zip(m1, m2))
 
     def test_identity_hook_bitwise_equal(self):
         src, _, _ = self.make()
         state = random_latent(RngStream(4), (1, 2, 2, 3, 3))
-        plain, _ = toy_attention_velocity(state, 0.8, src)
-        hooked, _ = toy_attention_velocity(state, 0.8, src, hook=lambda m, layer: m)
-        assert np.array_equal(plain.data, hooked.data)
+        plain, _ = toy_attention_velocity(state.data, 0.8, src)
+        hooked, _ = toy_attention_velocity(state.data, 0.8, src, hook=lambda m, layer: m)
+        assert np.array_equal(plain, hooked)
 
     def test_softmax_rows_sum_to_one(self):
         src, _, _ = self.make()
         state = random_latent(RngStream(5), (1, 2, 3, 4, 4))
-        _, maps = toy_attention_velocity(state, 0.8, src)
+        _, maps = toy_attention_velocity(state.data, 0.8, src)
         assert np.allclose(maps[0].logits.sum(axis=1), 1.0, atol=1e-6)
 
     def test_pair_shares_keys_and_projection(self):
@@ -165,7 +162,7 @@ class TestToyAttention:
         src, _, _ = self.make(channels=2)
         state = random_latent(RngStream(6), (1, 3, 2, 3, 3))
         with pytest.raises(ShapeMismatchError):
-            toy_attention_velocity(state, 0.8, src)
+            toy_attention_velocity(state.data, 0.8, src)
 
 
 class TestDispatch:
@@ -174,20 +171,20 @@ class TestDispatch:
         cond = GaussianCondition(np.float32(0.2), 1.0)
         reg.register("src", cond)
         state = random_latent(RngStream(7))
-        q = VelocityQuery(state, 0.5, "src")
-        assert np.array_equal(velocity(reg, q).data, gaussian_velocity(state, 0.5, cond).data)
+        q = VelocityQuery(state.data, 0.5, "src")
+        assert np.array_equal(reg.velocity(q), gaussian_velocity(state.data, 0.5, cond))
 
     def test_attention_dispatch_bitwise(self):
         reg = BackendRegistry()
         src, _, _ = TestToyAttention().make()
         reg.register("toy", src)
         state = random_latent(RngStream(8), (1, 2, 2, 3, 3))
-        q = VelocityQuery(state, 0.5, "toy")
-        direct, _ = toy_attention_velocity(state, 0.5, src)
-        assert np.array_equal(velocity(reg, q).data, direct.data)
+        q = VelocityQuery(state.data, 0.5, "toy")
+        direct, _ = toy_attention_velocity(state.data, 0.5, src)
+        assert np.array_equal(reg.velocity(q), direct)
 
     def test_unknown_condition(self):
         reg = BackendRegistry()
         state = random_latent(RngStream(9))
         with pytest.raises(UnknownConditionError, match="unknown condition"):
-            reg.velocity(VelocityQuery(state, 0.5, "nope"))
+            reg.velocity(VelocityQuery(state.data, 0.5, "nope"))

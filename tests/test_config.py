@@ -145,9 +145,9 @@ class TestResolvers:
         assert np.array_equal(a.data, b.data)
 
     def test_source_file_loading(self, tmp_path):
-        from flowsteer import RngStream, sample_gaussian, save_tensor
+        from flowsteer import RngStream, VideoLatent, sample_gaussian, save_tensor
 
-        lat = sample_gaussian(RngStream(1), (1, 1, 2, 3, 3))
+        lat = VideoLatent(sample_gaussian(RngStream(1), (1, 1, 2, 3, 3)))
         path = tmp_path / "src.fatn"
         save_tensor(lat, path)
         spec = parse_config_text(f"[io]\nsource = {path}\n")
@@ -189,6 +189,23 @@ class TestResolvers:
         reg = build_backend(spec, latent)
         assert isinstance(reg.condition("source"), GaussianCondition)
         assert isinstance(reg.condition("target"), GaussianCondition)
+
+    @pytest.mark.parametrize("key", ["source_mean", "target_mean"])
+    @pytest.mark.parametrize("raw", ["0,0,0", ""])
+    def test_build_backend_rejects_mean_not_matching_channels(self, key, raw):
+        # the default source has 4 channels; a mean needs 1 entry or 4
+        spec = parse_config_text(one_key(f"backend.{key}", raw))
+        latent = resolve_source(spec)
+        assert latent.dims.channels == 4
+        with pytest.raises(ConfigError) as info:
+            build_backend(spec, latent)
+        assert info.value.key_path == f"backend.{key}"
+
+    @pytest.mark.parametrize("raw", ["0.5", "0,1,2,3"])
+    def test_build_backend_accepts_one_or_channel_count_means(self, raw):
+        spec = parse_config_text(one_key("backend.source_mean", raw))
+        reg = build_backend(spec, resolve_source(spec))
+        assert isinstance(reg.condition("source"), GaussianCondition)
 
     def test_build_backend_toy(self):
         spec = parse_config_text("[backend]\ntype = toy_attention\n")

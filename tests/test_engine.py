@@ -1,3 +1,6 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,42 +74,42 @@ class TestCoupleTarget:
     def test_at_source_returns_pseudo_source_exactly(self, make_latent):
         x = make_latent()
         z_src = make_latent()
-        out = couple_target(x, z_src, x)
-        assert np.array_equal(out.data, z_src.data)
+        out = couple_target(x.data, z_src.data, x.data)
+        assert np.array_equal(out, z_src.data)
 
     def test_zero_noise_endpoint_returns_trajectory(self):
         # representable values keep the identity exact in floats too
         z_edit, x = const_latent(3.0), const_latent(2.0)
-        out = couple_target(z_edit, x, x)
-        assert np.array_equal(out.data, z_edit.data)
+        out = couple_target(z_edit.data, x.data, x.data)
+        assert np.array_equal(out, z_edit.data)
 
     def test_constant_hand_case(self):
-        out = couple_target(const_latent(3.0), const_latent(5.0), const_latent(2.0))
-        assert np.array_equal(out.data, const_latent(6.0).data)
+        out = couple_target(const_latent(3.0).data, const_latent(5.0).data, const_latent(2.0).data)
+        assert np.array_equal(out, const_latent(6.0).data)
 
     def test_shape_mismatch(self, make_latent):
         with pytest.raises(ShapeMismatchError):
-            couple_target(make_latent(), make_latent((1, 2, 3, 4, 5)), make_latent())
+            couple_target(make_latent().data, make_latent((1, 2, 3, 4, 5)).data, make_latent().data)
 
 
 class TestBlendBaseline:
     def test_full_mask_keeps_edit(self, make_latent):
         z, ref = make_latent(), make_latent()
-        out = blend_baseline(z, ref, full_mask())
-        assert np.array_equal(out.data, z.data)
+        out = blend_baseline(z.data, ref.data, full_mask())
+        assert np.array_equal(out, z.data)
 
     def test_empty_mask_returns_reference(self, make_latent):
         z, ref = make_latent(), make_latent()
         mask = EditMask(np.zeros(DIMS[2:], dtype=np.uint8))
-        out = blend_baseline(z, ref, mask)
-        assert np.array_equal(out.data, ref.data)
+        out = blend_baseline(z.data, ref.data, mask)
+        assert np.array_equal(out, ref.data)
 
     def test_half_mask_hand_case(self):
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
         bits[:, :2, :] = 1
-        out = blend_baseline(const_latent(1.0), const_latent(9.0), EditMask(bits))
-        assert (out.data[:, :, :, :2, :] == 1.0).all()
-        assert (out.data[:, :, :, 2:, :] == 9.0).all()
+        out = blend_baseline(const_latent(1.0).data, const_latent(9.0).data, EditMask(bits))
+        assert (out[:, :, :, :2, :] == 1.0).all()
+        assert (out[:, :, :, 2:, :] == 9.0).all()
 
 
 class TestEditingSignal:
@@ -114,16 +117,16 @@ class TestEditingSignal:
         reg = gaussian_registry(0.4, 0.4)
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
         x = make_latent()
-        sample = editing_signal(x, x, 0.8, cfg, reg, RngStream(1))
-        assert np.array_equal(sample.dv.data, np.zeros(DIMS, dtype=np.float32))
+        dv = editing_signal(x.data, x.data, 0.8, cfg, reg, RngStream(1))[0]
+        assert np.array_equal(dv, np.zeros(DIMS, dtype=np.float32))
 
     def test_two_equal_draws_match_single_draw(self, make_latent):
         reg = gaussian_registry(0.0, 1.0)
         x = make_latent()
         noise = RngStream(3).normals(int(np.prod(DIMS)))
-        one = editing_signal(x, x, 0.6, make_cfg(n_avg=1), reg, FixedRng(noise))
-        two = editing_signal(x, x, 0.6, make_cfg(n_avg=2), reg, FixedRng(noise))
-        assert np.array_equal(one.dv.data, two.dv.data)
+        one = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=1), reg, FixedRng(noise))[0]
+        two = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=2), reg, FixedRng(noise))[0]
+        assert np.array_equal(one, two)
 
     def test_gaussian_signal_matches_scalar_derivation(self):
         # independent per-entry evaluation of both conditional expectations
@@ -133,9 +136,8 @@ class TestEditingSignal:
         x = random_latent(rng, DIMS)
         z_edit = random_latent(rng, DIMS)
         noise = RngStream(11).normals(int(np.prod(DIMS)))
-        sample = editing_signal(
-            z_edit, x, t, make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0)), reg, FixedRng(noise)
-        )
+        cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
+        dv = editing_signal(z_edit.data, x.data, t, cfg, reg, FixedRng(noise))[0]
 
         def scalar_v(z, mu):
             denom = (1 - t) ** 2 * s**2 + t**2
@@ -145,7 +147,7 @@ class TestEditingSignal:
         z_src = (1 - t) * x.data.astype(np.float64) + t * noise.reshape(DIMS)
         z_tar = (z_edit.data.astype(np.float64) - x.data) + z_src
         expected = scalar_v(z_tar, mu_s + delta) - scalar_v(z_src, mu_s)
-        assert np.allclose(sample.dv.data, expected, rtol=1e-4, atol=1e-5)
+        assert np.allclose(dv, expected, rtol=1e-4, atol=1e-5)
 
 
 class TestRunEdit:
@@ -295,3 +297,141 @@ class TestRunEdit:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
             run_edit(make_latent(), cfg, reg)
         assert err.value.step_index >= 1
+
+    def test_nonfinite_abort_names_exact_step(self, make_latent):
+        # same run as above: the first active step already overflows
+        reg = gaussian_registry(3.0e38, -3.0e38, channels=2)
+        cfg = make_cfg(
+            grid=TimeGrid.uniform(3),
+            sar=SarConfig(beta1=0.0, beta2=0.0),
+            amm=AmmConfig(gamma=0.0),
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+            run_edit(make_latent(), cfg, reg)
+        assert err.value.step_index == 3
+
+    def test_nonfinite_checked_before_blend(self, make_latent):
+        # with an all-zero mask the blend would replace every entry by the
+        # finite reference path, so only a check before it sees the overflow
+        reg = gaussian_registry(3.0e38, -3.0e38, channels=2)
+        cfg = make_cfg(
+            grid=TimeGrid.uniform(6, skip=2),
+            mask=EditMask(np.zeros(DIMS[2:], dtype=np.uint8)),
+            baseline_blend=True,
+        )
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+            run_edit(make_latent(), cfg, reg)
+        assert err.value.step_index == 4
+
+    @pytest.mark.parametrize(("tokens", "step"), [(4, 1), (16, 3)])
+    def test_attention_logit_overflow_names_step(self, tokens, step):
+        # a finite but huge source overflows the attention logits; a -inf
+        # logit must not drop out of the softmax as an exact zero weight
+        reg = BackendRegistry()
+        j_tar = TargetTokenSet.of(1)
+        src, tar = make_toy_condition_pair(5, tokens=tokens, query_dim=3, channels=2, j_tar=j_tar)
+        reg.register("src", src)
+        reg.register("tar", tar)
+        bits = np.zeros(DIMS[2:], dtype=np.uint8)
+        bits[:, :2, :] = 1
+        cfg = make_cfg(grid=TimeGrid.uniform(6, skip=2), mask=EditMask(bits), j_tar=j_tar, seed=4)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+            run_edit(const_latent(3.0e38), cfg, reg)
+        assert err.value.step_index == step
+
+    def test_bad_target_token_is_a_plain_value_error(self, make_latent):
+        reg = BackendRegistry()
+        src, tar = make_toy_condition_pair(
+            5, tokens=4, query_dim=3, channels=2, j_tar=TargetTokenSet.of(1)
+        )
+        reg.register("src", src)
+        reg.register("tar", tar)
+        cfg = make_cfg(j_tar=TargetTokenSet.of(9))
+        with pytest.raises(ValueError, match="index 9 out of range") as err:
+            run_edit(make_latent(), cfg, reg)
+        assert not isinstance(err.value, NonFiniteStateError)
+
+
+class TestTraceSeam:
+    """The benchmark's tracer wraps engine globals and registry methods from
+    outside; these runs pin the seams it relies on."""
+
+    GAUSS_SPANS = {
+        "amm.amplify": 4,
+        "amm.contrast_map": 4,
+        "backends.velocity_src": 8,
+        "backends.velocity_tar": 8,
+        "core.interpolate_source": 12,
+        "core.sample_gaussian": 8,
+        "diagnostics.binarize_signal": 8,
+        "diagnostics.iou": 8,
+        "diagnostics.magnitude_stats": 8,
+        "engine.couple_target": 8,
+        "engine.run_edit": 1,
+    }
+    TOY_SPANS = {
+        "amm.amplify": 8,
+        "amm.contrast_map": 8,
+        "backends.velocity_src": 8,
+        "backends.velocity_tar": 8,
+        "core.interpolate_source": 8,
+        "core.sample_gaussian": 8,
+        "diagnostics.binarize_signal": 16,
+        "diagnostics.iou": 32,
+        "diagnostics.magnitude_stats": 16,
+        "engine.couple_target": 8,
+        "engine.run_edit": 1,
+        "sar.apply_sar": 16,
+    }
+
+    def test_spans_counts_and_restore(self, monkeypatch):
+        import flowsteer
+        import flowsteer.backends
+        import flowsteer.config
+        import flowsteer.engine
+        import flowsteer.runner
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from spans import Tracer
+
+        bits = np.zeros(DIMS[2:], dtype=np.uint8)
+        bits[:, :2, :] = 1
+        mask = EditMask(bits)
+        gauss = gaussian_registry(0.0, 1.0)
+        gauss_cfg = make_cfg(
+            grid=TimeGrid.uniform(6, skip=2), mask=mask, seed=3, n_avg=2, baseline_blend=True
+        )
+        j_tar = TargetTokenSet.of(1)
+        src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
+        toy = BackendRegistry()
+        toy.register("src", src)
+        toy.register("tar", tar)
+        toy_cfg = make_cfg(grid=TimeGrid.uniform(10, skip=2), mask=mask, j_tar=j_tar, seed=4)
+
+        owners = (
+            flowsteer.engine,
+            flowsteer.runner,
+            flowsteer.config,
+            flowsteer.backends.BackendRegistry,
+        )
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = Tracer()
+        tracer.install(flowsteer)
+        try:
+            flowsteer.engine.run_edit(random_latent(RngStream(1)), gauss_cfg, gauss)
+            split = len(tracer.spans)
+            flowsteer.engine.run_edit(random_latent(RngStream(2), (2,) + DIMS[1:]), toy_cfg, toy)
+        finally:
+            tracer.remove()
+
+        assert Counter(span[0] for span in tracer.spans[:split]) == self.GAUSS_SPANS
+        assert Counter(span[0] for span in tracer.spans[split:]) == self.TOY_SPANS
+        # t = 0.8, 0.7, 0.6 pass the 0.6 gate, once per sample of the batch of 2
+        notes = [span[5] for span in tracer.spans if span[0] == "sar.apply_sar"]
+        assert notes == [True] * 6 + [False] * 10
+        steps = [span[5] for span in tracer.spans if span[0] == "engine.run_edit"]
+        assert steps == [4, 8]
+        for owner, saved in zip(owners, before):
+            after = vars(owner)
+            assert after.keys() == saved.keys()
+            assert all(after[name] is value for name, value in saved.items())

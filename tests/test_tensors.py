@@ -67,13 +67,13 @@ class TestRng:
 
     def test_degenerate_shape(self):
         lat = sample_gaussian(RngStream(0), (1, 1, 1, 1, 1))
-        assert lat.data.shape == (1, 1, 1, 1, 1)
-        assert np.isfinite(lat.data).all()
+        assert lat.shape == (1, 1, 1, 1, 1)
+        assert np.isfinite(lat).all()
 
     def test_sample_gaussian_deterministic(self):
         a = sample_gaussian(RngStream(0), (2, 3, 4, 5, 6))
         b = sample_gaussian(RngStream(0), (2, 3, 4, 5, 6))
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_counter_advances_by_even_count(self):
         r = RngStream(0)
@@ -182,41 +182,41 @@ class TestChunkedNormals:
 class TestInterpolate:
     def test_endpoint_zero_is_source(self, make_latent):
         x, n = make_latent(), make_latent()
-        out = interpolate_source(x, n, 0.0)
-        assert np.array_equal(out.data, x.data)
+        out = interpolate_source(x.data, n.data, 0.0)
+        assert np.array_equal(out, x.data)
 
     def test_endpoint_one_is_noise(self, make_latent):
         x, n = make_latent(), make_latent()
-        out = interpolate_source(x, n, 1.0)
-        assert np.array_equal(out.data, n.data)
+        out = interpolate_source(x.data, n.data, 1.0)
+        assert np.array_equal(out, n.data)
 
     def test_hand_value_quarter(self):
         x = VideoLatent(np.full((1, 1, 1, 2, 2), 2.0, dtype=np.float32))
         n = VideoLatent(np.zeros((1, 1, 1, 2, 2), dtype=np.float32))
-        out = interpolate_source(x, n, 0.25)
-        assert np.allclose(out.data, 1.5)
+        out = interpolate_source(x.data, n.data, 0.25)
+        assert np.allclose(out, 1.5)
 
     def test_shape_mismatch(self, make_latent):
         with pytest.raises(ShapeMismatchError):
-            interpolate_source(make_latent((1, 1, 1, 2, 2)), make_latent((1, 1, 1, 3, 3)), 0.5)
+            interpolate_source(
+                make_latent((1, 1, 1, 2, 2)).data, make_latent((1, 1, 1, 3, 3)).data, 0.5
+            )
 
     def test_clamps_tiny_violation_only(self, make_latent):
         x, n = make_latent(), make_latent()
-        out = interpolate_source(x, n, -1e-13)
-        assert np.array_equal(out.data, x.data)
+        out = interpolate_source(x.data, n.data, -1e-13)
+        assert np.array_equal(out, x.data)
         with pytest.raises(ValueError):
-            interpolate_source(x, n, -1e-6)
+            interpolate_source(x.data, n.data, -1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(min_value=-4.0, max_value=4.0), t=st.floats(min_value=0.0, max_value=1.0))
     def test_affine_in_inputs(self, alpha, t):
         rng = RngStream(5)
         x, n = random_latent(rng), random_latent(rng)
-        scaled = interpolate_source(
-            VideoLatent(np.float32(alpha) * x.data), VideoLatent(np.float32(alpha) * n.data), t
-        )
-        base = interpolate_source(x, n, t)
-        assert np.allclose(scaled.data, np.float32(alpha) * base.data, rtol=1e-5, atol=1e-6)
+        scaled = interpolate_source(np.float32(alpha) * x.data, np.float32(alpha) * n.data, t)
+        base = interpolate_source(x.data, n.data, t)
+        assert np.allclose(scaled, np.float32(alpha) * base, rtol=1e-5, atol=1e-6)
 
 
 class TestFatnIO:
