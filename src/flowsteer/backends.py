@@ -18,13 +18,14 @@ velocity calls are pure and safe to issue concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import RngStream, clamp_time
 from .errors import ShapeMismatchError, UnknownConditionError
-from .sar import AttentionMaps, TargetTokenSet
+from .sar import AttentionMaps, TargetTokenSet, _row_extreme
 
 # Hook over pre-softmax logits; second argument is the attention layer index.
 AttentionHook = Callable[[AttentionMaps, int], AttentionMaps]
@@ -166,21 +167,28 @@ def gaussian_velocity(state: np.ndarray, t: float, cond: GaussianCondition) -> n
     return (t - (1.0 - t) * s2) * r - mu
 
 
-def _voxel_features(state: np.ndarray, sample: int) -> np.ndarray:
-    """Feature matrix (F*H*W, 3 + C): cell-center coordinates then channel values."""
-    _, channels, frames, height, width = state.shape
+@lru_cache(maxsize=8)
+def _voxel_grid(frames: int, height: int, width: int) -> np.ndarray:
+    """Read-only (F*H*W, 3) matrix of normalized cell-center coordinates."""
     fs = (np.arange(frames, dtype=np.float32) + np.float32(0.5)) / np.float32(frames)
     hs = (np.arange(height, dtype=np.float32) + np.float32(0.5)) / np.float32(height)
     ws = (np.arange(width, dtype=np.float32) + np.float32(0.5)) / np.float32(width)
-    grid = np.stack(np.meshgrid(fs, hs, ws, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = np.stack(np.meshgrid(fs, hs, ws, indexing="ij"), axis=-1)
+    grid.flags.writeable = False  # locks the owner, so no view can be made writeable
+    return grid.reshape(-1, 3)
+
+
+def _voxel_features(state: np.ndarray, sample: int) -> np.ndarray:
+    """Feature matrix (F*H*W, 3 + C): cell-center coordinates then channel values."""
+    _, channels, frames, height, width = state.shape
     values = state[sample].reshape(channels, -1).T  # (F*H*W, C)
-    return np.concatenate([grid, values], axis=1)
+    return np.concatenate([_voxel_grid(frames, height, width), values], axis=1)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     # 0 * min is +-0 while every logit is finite and NaN once one is -inf or NaN (+inf
     # already makes its row NaN), so no non-finite logit passes as an exact zero weight.
-    shift = logits.max(axis=1, keepdims=True) + 0 * logits.min()
+    shift = _row_extreme(logits, np.maximum) + 0 * logits.min()
     probs = logits - shift
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)

@@ -219,7 +219,20 @@ def execute_run(spec: RunSpec) -> RunOutcome:
 
 
 def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[RunOutcome]]:
-    """Execute runs (concurrently if workers > 1); exit status 0 iff all finished."""
+    """Execute runs (concurrently if workers > 1); exit status 0 iff all finished.
+
+    Raises ConfigError("io.scenario", ...) before any run starts when two specs
+    resolve to the same run directory.
+    """
+    seen: dict[Path, str] = {}
+    for spec in specs:
+        run_dir = (Path(spec.io.out_dir) / spec.io.scenario).resolve()
+        if run_dir in seen:
+            raise ConfigError(
+                "io.scenario",
+                f"runs {seen[run_dir]!r} and {spec.io.scenario!r} both write to {run_dir}",
+            )
+        seen[run_dir] = spec.io.scenario
     workers = resolve_workers(workers)
     if workers == 1 or len(specs) <= 1:
         outcomes = [execute_run(spec) for spec in specs]

@@ -125,6 +125,21 @@ def _mask_rows(maps: AttentionMaps, mask: EditMask) -> np.ndarray:
     return mask.flat()
 
 
+def _row_extreme(logits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """(N, 1) row max (``np.maximum``) or row min (``np.minimum``) of an (N, L) matrix.
+
+    Loops over the L token columns because numpy reduces a short inner axis
+    one row at a time, several times slower than L whole-column ufunc calls.
+    The values equal ``ufunc.reduce(logits, axis=1)``, NaN included; only the
+    sign of a zero extremum from a +0/-0 tie may differ, as it already does
+    between numpy's own SIMD widths.
+    """
+    out = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        ufunc(out, logits[:, j], out=out)
+    return out[:, None]
+
+
 def token_bounds(maps: AttentionMaps, voxel: int) -> tuple[float, float]:
     """(max, min) of one voxel's row across all text tokens."""
     row = maps.logits[voxel]
@@ -159,8 +174,8 @@ def text_token_modulation(
         return maps
     tar_cols = j_tar.column_selector(maps.tokens)
     sub = logits[rows]
-    row_max = sub.max(axis=1, keepdims=True)
-    row_min = sub.min(axis=1, keepdims=True)
+    row_max = _row_extreme(sub, np.maximum)
+    row_min = _row_extreme(sub, np.minimum)
     pulled = np.where(tar_cols[None, :], row_max, row_min)
     out = logits.copy()
     out[rows] = (1.0 - beta1) * sub + beta1 * pulled

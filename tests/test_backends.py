@@ -7,6 +7,9 @@ from flowsteer.backends import (
     GaussianCondition,
     ToyAttentionCondition,
     VelocityQuery,
+    _softmax_rows,
+    _voxel_features,
+    _voxel_grid,
     gaussian_velocity,
     make_toy_condition_pair,
     toy_attention_velocity,
@@ -14,7 +17,7 @@ from flowsteer.backends import (
 from flowsteer.errors import ShapeMismatchError, UnknownConditionError
 from flowsteer.sar import TargetTokenSet
 
-from conftest import random_latent
+from conftest import ORACLE_TOKENS, ORACLE_VOXELS, random_latent, special_logits
 
 
 def mc_conditional_velocity(mu, s, t, z, n=200_000, seed=0):
@@ -163,6 +166,61 @@ class TestToyAttention:
         state = random_latent(RngStream(6), (1, 3, 2, 3, 3))
         with pytest.raises(ShapeMismatchError):
             toy_attention_velocity(state.data, 0.8, src)
+
+
+def reduce_softmax_rows(logits):
+    """The ufunc.reduce form of _softmax_rows, kept as the oracle."""
+    shift = logits.max(axis=1, keepdims=True) + 0 * logits.min()
+    probs = logits - shift
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def meshgrid_voxel_features(state, sample):
+    """The per-call meshgrid form of _voxel_features, kept as the oracle."""
+    _, channels, frames, height, width = state.shape
+    fs = (np.arange(frames, dtype=np.float32) + np.float32(0.5)) / np.float32(frames)
+    hs = (np.arange(height, dtype=np.float32) + np.float32(0.5)) / np.float32(height)
+    ws = (np.arange(width, dtype=np.float32) + np.float32(0.5)) / np.float32(width)
+    grid = np.stack(np.meshgrid(fs, hs, ws, indexing="ij"), axis=-1).reshape(-1, 3)
+    values = state[sample].reshape(channels, -1).T
+    return np.concatenate([grid, values], axis=1)
+
+
+class TestToyAttentionKernels:
+    # Signed-zero rows are byte-equal too: the sign of a zero shift cannot
+    # reach the weights, because exp(+0) and exp(-0) are both exactly 1.
+    @pytest.mark.parametrize("voxels", ORACLE_VOXELS)
+    @pytest.mark.parametrize("kind", ["finite", "nonfinite", "signed_zero"])
+    def test_softmax_rows_matches_reduce_formula(self, kind, voxels):
+        for tokens in ORACLE_TOKENS:
+            logits = special_logits(voxels, tokens, kind)
+            with np.errstate(all="ignore"):
+                got = _softmax_rows(logits)
+                want = reduce_softmax_rows(logits)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1, 1, 1, 1), (1, 4, 5, 8, 8), (2, 3, 2, 3, 5), (1, 4, 16, 32, 32)]
+    )
+    def test_voxel_features_match_meshgrid_formula(self, dims):
+        state = random_latent(RngStream(8), dims).data
+        for _ in range(2):  # the second pass reads the cached grid
+            for sample in range(dims[0]):
+                got = _voxel_features(state, sample)
+                want = meshgrid_voxel_features(state, sample)
+                assert got.dtype == want.dtype and got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+
+    def test_voxel_grid_is_cached_and_read_only(self):
+        grid = _voxel_grid(3, 4, 5)
+        assert _voxel_grid(3, 4, 5) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            grid.flags.writeable = True
 
 
 class TestDispatch:

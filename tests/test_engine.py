@@ -294,7 +294,7 @@ class TestRunEdit:
             sar=SarConfig(beta1=0.0, beta2=0.0),
             amm=AmmConfig(gamma=0.0),
         )
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteStateError) as err:
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
             run_edit(make_latent(), cfg, reg)
         assert err.value.step_index >= 1
 

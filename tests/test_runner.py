@@ -6,6 +6,7 @@ import pytest
 from flowsteer.cli import main as cli_main
 from flowsteer.config import parse_config_text, with_out_dir, with_seed
 from flowsteer.core import read_fatn
+from flowsteer.errors import ConfigError
 from flowsteer.runner import (
     WORKERS_ENV_VAR,
     execute_run,
@@ -75,6 +76,18 @@ class TestRunBatch:
             assert (outcomes[0].out_dir / name).read_bytes() == (
                 outcomes[1].out_dir / name
             ).read_bytes()
+
+    @pytest.mark.parametrize("other_out", ["out", "out/../out", "./x/../out"])
+    def test_duplicate_run_directory_rejected_before_any_run(self, tmp_path, other_out):
+        first = spec_in(SHIFT_EDIT, tmp_path)
+        dup = with_seed(with_out_dir(first, str(tmp_path / other_out)), 99)
+        other = spec_in(NULL_EDIT, tmp_path)
+        with pytest.raises(ConfigError) as err:
+            run_batch([first, other, dup], workers=2)
+        assert err.value.key_path == "io.scenario"
+        message = str(err.value)
+        assert "'shift'" in message and str((tmp_path / "out" / "shift").resolve()) in message
+        assert not (tmp_path / "out").exists()
 
     def test_null_edit_result_equals_input_bytes(self, tmp_path):
         spec = spec_in(NULL_EDIT, tmp_path)
