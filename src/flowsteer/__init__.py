@@ -57,9 +57,7 @@ from .sar import (
     TargetTokenSet,
     apply_sar,
     spatiotemporal_modulation,
-    st_bounds,
     text_token_modulation,
-    token_bounds,
 )
 
 __all__ = [
@@ -104,9 +102,7 @@ __all__ = [
     "sample_gaussian",
     "save_tensor",
     "spatiotemporal_modulation",
-    "st_bounds",
     "text_token_modulation",
-    "token_bounds",
     "toy_attention_velocity",
     "warp_error",
     "write_fatn",

@@ -1,4 +1,4 @@
-"""Pluggable conditional velocity fields over video latents.
+"""Conditional velocity fields over video latents, and the edit's condition pair.
 
 Two desk-scale backends are provided:
 
@@ -12,7 +12,9 @@ Two desk-scale backends are provided:
   attention-level interventions can be tested end to end.
 
 Both are immutable after construction and evaluate deterministically, so
-velocity calls are pure and safe to issue concurrently.
+velocity calls are pure and safe to issue concurrently. An edit evaluates
+exactly two conditions, so ``BackendRegistry`` holds the source/target pair
+and a ``VelocityQuery`` names its role, ``"source"`` or ``"target"``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import RngStream, clamp_time
-from .errors import ShapeMismatchError, UnknownConditionError
+from .errors import ShapeMismatchError
 from .sar import AttentionMaps, TargetTokenSet, _row_extreme
 
 # Hook over pre-softmax logits; second argument is the attention layer index.
@@ -140,10 +142,12 @@ class VelocityQuery:
 
     state: np.ndarray
     time: float
-    condition: str
+    condition: str  # the role, "source" or "target"
     attention_hook: Optional[AttentionHook] = None
 
     def __post_init__(self):
+        if self.condition not in ("source", "target"):
+            raise ValueError(f"condition must be 'source' or 'target', got {self.condition!r}")
         object.__setattr__(self, "time", clamp_time(self.time))
 
 
@@ -232,22 +236,14 @@ def toy_attention_velocity(
 
 
 class BackendRegistry:
-    """Routes named conditions to their backend evaluation."""
+    """The edit's source/target condition pair, dispatching queries by role."""
 
-    def __init__(self):
-        self._conditions: dict[str, Condition] = {}
-
-    def register(self, name: str, condition: Condition) -> None:
-        self._conditions[str(name)] = condition
-
-    def condition(self, name: str) -> Condition:
-        try:
-            return self._conditions[name]
-        except KeyError:
-            raise UnknownConditionError(f"unknown condition {name!r}") from None
-
-    def has(self, name: str) -> bool:
-        return name in self._conditions
+    def __init__(self, source: Condition, target: Condition):
+        for role, cond in (("source", source), ("target", target)):
+            if not isinstance(cond, Condition):
+                raise TypeError(f"{role} must be a condition, got {type(cond).__name__}")
+        self.source = source
+        self.target = target
 
     def velocity(self, query: VelocityQuery) -> np.ndarray:
         vel, _ = self.velocity_with_maps(query)
@@ -257,11 +253,7 @@ class BackendRegistry:
         self, query: VelocityQuery
     ) -> tuple[np.ndarray, list[AttentionMaps]]:
         """Dispatch a query; attention maps are empty for map-free backends."""
-        cond = self.condition(query.condition)
+        cond = self.source if query.condition == "source" else self.target
         if isinstance(cond, GaussianCondition):
             return gaussian_velocity(query.state, query.time, cond), []
-        if isinstance(cond, ToyAttentionCondition):
-            return toy_attention_velocity(
-                query.state, query.time, cond, hook=query.attention_hook
-            )
-        raise UnknownConditionError(f"no backend for condition type {type(cond).__name__}")
+        return toy_attention_velocity(query.state, query.time, cond, hook=query.attention_hook)

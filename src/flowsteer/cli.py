@@ -43,10 +43,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = parse_config(args.config)
     if args.out:
         spec = with_out_dir(spec, args.out)
-    frame_counts = [int(tok) for tok in args.frames.split(",") if tok.strip()]
-    if not frame_counts:
-        print("no frame counts given", file=sys.stderr)
+    tokens = [tok.strip() for tok in args.frames.split(",") if tok.strip()]
+    if not tokens or not all(tok.isdigit() for tok in tokens):
+        print(
+            f"error: --frames needs a comma list of frame counts, got {args.frames!r}",
+            file=sys.stderr,
+        )
         return 2
+    frame_counts = [int(tok) for tok in tokens]
 
     def family(frames: int):
         source = resolve_source(spec, frames=frames)
@@ -134,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FlowSteerError as exc:
+    except (FlowSteerError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,9 +36,6 @@ SECTIONS = ("backend", "grid", "sar", "amm", "io", "metrics")
 
 KNOWN_METRICS = ("masked_psnr", "warp_error", "frame_consistency", "local_structure")
 
-SOURCE_CONDITION = "source"
-TARGET_CONDITION = "target"
-
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -339,37 +336,32 @@ def resolve_mask(spec: RunSpec, latent: VideoLatent, frames: Optional[int] = Non
 
 
 def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
-    """Register the source/target condition pair the spec describes.
+    """The source/target condition pair the spec describes.
 
     A Gaussian mean needs 1 entry or one per channel of ``latent``.
     """
-    registry = BackendRegistry()
     b = spec.backend
+    channels = latent.dims.channels
     if b.type == "gaussian":
-        channels = latent.dims.channels
-        for key, name, mean in (
-            ("source_mean", SOURCE_CONDITION, b.source_mean),
-            ("target_mean", TARGET_CONDITION, b.target_mean),
-        ):
+        pair = []
+        for key, mean in (("source_mean", b.source_mean), ("target_mean", b.target_mean)):
             if len(mean) not in (1, channels):
                 raise ConfigError(
                     f"backend.{key}",
                     f"needs 1 or {channels} entries (the source latent's channels), "
                     f"got {len(mean)}",
                 )
-            registry.register(name, GaussianCondition(np.asarray(mean, dtype=np.float32), b.scale))
-    else:
-        src, tar = make_toy_condition_pair(
-            b.model_seed,
-            b.tokens,
-            b.query_dim,
-            latent.dims.channels,
-            TargetTokenSet(frozenset(b.target_tokens)),
-            b.temperature,
-        )
-        registry.register(SOURCE_CONDITION, src)
-        registry.register(TARGET_CONDITION, tar)
-    return registry
+            pair.append(GaussianCondition(np.asarray(mean, dtype=np.float32), b.scale))
+        return BackendRegistry(*pair)
+    src, tar = make_toy_condition_pair(
+        b.model_seed,
+        b.tokens,
+        b.query_dim,
+        channels,
+        TargetTokenSet(frozenset(b.target_tokens)),
+        b.temperature,
+    )
+    return BackendRegistry(src, tar)
 
 
 def build_edit_config(spec: RunSpec, mask: EditMask) -> EditConfig:
@@ -377,8 +369,6 @@ def build_edit_config(spec: RunSpec, mask: EditMask) -> EditConfig:
         grid=spec.grid(),
         sar=spec.sar,
         amm=spec.amm,
-        source_condition=SOURCE_CONDITION,
-        target_condition=TARGET_CONDITION,
         mask=mask,
         j_tar=TargetTokenSet(frozenset(spec.backend.target_tokens)),
         seed=spec.io.seed,

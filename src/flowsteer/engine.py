@@ -4,7 +4,7 @@ Starting from the source latent, each active grid step draws fresh noise,
 places a pseudo-source state on the straight source-noise path, couples a
 target state to it so both velocity evaluations share one noise
 realization, and moves the trajectory by the amplified difference of the
-target- and source-conditioned velocities:
+target- and source-conditioned velocities of the backend's condition pair:
 
     z_src  = (1 - t) x_src + t N
     z_tar  = z_edit + z_src - x_src
@@ -42,7 +42,7 @@ from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import BackendRegistry, VelocityQuery
 from .core import EditMask, RngStream, TimeGrid, VideoLatent, interpolate_source, sample_gaussian
 from .diagnostics import binarize_signal, iou, magnitude_stats
-from .errors import NonFiniteStateError, ShapeMismatchError, UnknownConditionError
+from .errors import NonFiniteStateError, ShapeMismatchError
 from .sar import AttentionMaps, SarConfig, TargetTokenSet, apply_sar
 
 
@@ -53,8 +53,6 @@ class EditConfig:
     grid: TimeGrid
     sar: SarConfig
     amm: AmmConfig
-    source_condition: str
-    target_condition: str
     mask: EditMask
     j_tar: TargetTokenSet
     seed: int = 0
@@ -143,8 +141,8 @@ def editing_signal(
         noise = sample_gaussian(rng, x_src.shape)
         z_src = interpolate_source(x_src, noise, t)
         z_tar = couple_target(z_edit, z_src, x_src)
-        v_tar = backend.velocity(VelocityQuery(z_tar, t, cfg.target_condition, attention_hook=hook))
-        v_src = backend.velocity(VelocityQuery(z_src, t, cfg.source_condition))
+        v_tar = backend.velocity(VelocityQuery(z_tar, t, "target", attention_hook=hook))
+        v_src = backend.velocity(VelocityQuery(z_src, t, "source"))
         acc += v_tar - v_src
         if draw == 0:
             first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
@@ -176,9 +174,6 @@ def run_edit(
         raise ShapeMismatchError(
             f"mask shape {cfg.mask.shape} does not match latent grid {x_src.data.shape[2:]}"
         )
-    for name in (cfg.source_condition, cfg.target_condition):
-        if not backend.has(name):
-            raise UnknownConditionError(f"unknown condition {name!r}")
     frames = x_src.dims.frames
     gain = gamma_f(cfg.amm, frames)
     report = EditReport(seed=cfg.seed, frames=frames, gain=gain)

@@ -13,10 +13,6 @@ class TensorFormatError(FlowSteerError, ValueError):
     """A tensor or image file is malformed (bad header, truncated payload, ...)."""
 
 
-class UnknownConditionError(FlowSteerError, KeyError):
-    """A velocity query names a condition that was never registered."""
-
-
 class ConfigError(FlowSteerError, ValueError):
     """A run configuration is invalid; carries the offending key path."""
 

@@ -140,18 +140,6 @@ def _row_extreme(logits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     return out[:, None]
 
 
-def token_bounds(maps: AttentionMaps, voxel: int) -> tuple[float, float]:
-    """(max, min) of one voxel's row across all text tokens."""
-    row = maps.logits[voxel]
-    return float(row.max()), float(row.min())
-
-
-def st_bounds(maps: AttentionMaps, token: int) -> tuple[float, float]:
-    """(max, min) of one token's column across all voxels."""
-    col = maps.logits[:, token]
-    return float(col.max()), float(col.min())
-
-
 def text_token_modulation(
     maps: AttentionMaps,
     mask: EditMask,

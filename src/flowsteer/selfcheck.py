@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .amm import AmmConfig, apply_amm, contrast_map, gamma_f
-from .backends import BackendRegistry, GaussianCondition, VelocityQuery, make_toy_condition_pair
+from .backends import BackendRegistry, GaussianCondition, gaussian_velocity, make_toy_condition_pair
 from .config import parse_config_text, with_out_dir
 from .core import EditMask, RngStream, TimeGrid, VideoLatent
 from .diagnostics import iou
@@ -164,14 +164,12 @@ def check_gain_anchors() -> tuple[bool, str]:
 
 def _null_edit_cases():
     """(label, registry, sar_config, j_tar) pairs for the fixed-point check."""
-    gauss = BackendRegistry()
-    gauss.register("cond", GaussianCondition(np.array([0.3, -0.8], dtype=np.float32), 1.1))
-    yield "gaussian", gauss, SarConfig(beta1=0.3, beta2=0.3), TargetTokenSet.of(0)
-    toy = BackendRegistry()
+    gauss = GaussianCondition(np.array([0.3, -0.8], dtype=np.float32), 1.1)
+    sar_on = SarConfig(beta1=0.3, beta2=0.3)
+    yield "gaussian", BackendRegistry(gauss, gauss), sar_on, TargetTokenSet.of(0)
     j_tar = TargetTokenSet.of(1)
     src, _ = make_toy_condition_pair(99, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
-    toy.register("cond", src)
-    yield "toy_attention", toy, SarConfig(beta1=0.0, beta2=0.0), j_tar
+    yield "toy_attention", BackendRegistry(src, src), SarConfig(beta1=0.0, beta2=0.0), j_tar
 
 
 def _null_edit_runs(record_states: bool):
@@ -184,8 +182,6 @@ def _null_edit_runs(record_states: bool):
             grid=TimeGrid.uniform(25, skip=2),
             sar=sar_cfg,
             amm=AmmConfig(gamma=1.0),
-            source_condition="cond",
-            target_condition="cond",
             mask=EditMask(mask_bits),
             j_tar=j_tar,
             seed=7,
@@ -255,8 +251,6 @@ def check_gaussian_velocity_oracle() -> tuple[bool, str]:
         z = (1.0 - t) * mu + u * sigma_z
         # closed form via the shipped implementation
         state = np.full((1, 1, 1, 1, 1), z, dtype=np.float32)
-        from .backends import gaussian_velocity
-
         closed = gaussian_velocity(state, t, GaussianCondition(np.float32(mu), s)).item()
         if abs(closed) < 2.0:
             continue  # relative comparison is ill-conditioned near zero
@@ -273,12 +267,11 @@ def check_generation_sanity() -> tuple[bool, str]:
     """1,000 Euler trajectories from pure noise land on the data statistics."""
     mu = np.array([0.6, -1.1], dtype=np.float32)
     s = 0.8
-    registry = BackendRegistry()
-    registry.register("gen", GaussianCondition(mu, s))
+    cond = GaussianCondition(mu, s)
     z = RngStream(606).normals(1000 * 2 * 4).astype(np.float32).reshape(1000, 2, 1, 2, 2)
     times = np.linspace(1.0, 0.0, 1001)
     for k in range(1000):
-        v = registry.velocity(VelocityQuery(z, float(times[k]), "gen"))
+        v = gaussian_velocity(z, float(times[k]), cond)
         z = z + np.float32(times[k + 1] - times[k]) * v
     errs = [abs(float(z[:, c].mean()) - float(mu[c])) for c in range(2)]
     if max(errs) >= 0.1 * s:
@@ -290,17 +283,15 @@ def check_mean_shift_edit() -> tuple[bool, str]:
     """Fine-grid mean-shift edit: uniform displacement along the shift,
     matching an independent scalar integration of the coupled dynamics."""
     delta = np.array([0.8, -0.5], dtype=np.float32)
-    registry = BackendRegistry()
-    registry.register("src", GaussianCondition(np.zeros(2, dtype=np.float32), 1.0))
-    registry.register("tar", GaussianCondition(delta, 1.0))
+    registry = BackendRegistry(
+        GaussianCondition(np.zeros(2, dtype=np.float32), 1.0), GaussianCondition(delta, 1.0)
+    )
     dims = (1, 2, 3, 4, 4)
     grid = TimeGrid.uniform(500, skip=2)
     cfg = EditConfig(
         grid=grid,
         sar=SarConfig(beta1=0.0, beta2=0.0),
         amm=AmmConfig(gamma=0.0),
-        source_condition="src",
-        target_condition="tar",
         mask=EditMask(np.ones(dims[2:], dtype=np.uint8)),
         j_tar=TargetTokenSet.of(0),
         seed=3,
@@ -340,9 +331,9 @@ def check_mean_shift_edit() -> tuple[bool, str]:
 
 def check_blend_locality() -> tuple[bool, str]:
     """100 random masked runs: outside the mask the result is the source."""
-    registry = BackendRegistry()
-    registry.register("src", GaussianCondition(np.float32(0.0), 1.0))
-    registry.register("tar", GaussianCondition(np.float32(1.5), 1.0))
+    registry = BackendRegistry(
+        GaussianCondition(np.float32(0.0), 1.0), GaussianCondition(np.float32(1.5), 1.0)
+    )
     rng = RngStream(707)
     dims = (1, 2, 3, 4, 4)
     for k in range(100):
@@ -355,8 +346,6 @@ def check_blend_locality() -> tuple[bool, str]:
             grid=TimeGrid.uniform(8, skip=1),
             sar=SarConfig(),
             amm=AmmConfig(),
-            source_condition="src",
-            target_condition="tar",
             mask=EditMask(bits),
             j_tar=TargetTokenSet.of(0),
             seed=k,

@@ -14,7 +14,7 @@ from flowsteer.backends import (
     make_toy_condition_pair,
     toy_attention_velocity,
 )
-from flowsteer.errors import ShapeMismatchError, UnknownConditionError
+from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import TargetTokenSet
 
 from conftest import ORACLE_TOKENS, ORACLE_VOXELS, random_latent, special_logits
@@ -225,24 +225,30 @@ class TestToyAttentionKernels:
 
 class TestDispatch:
     def test_gaussian_dispatch_bitwise(self):
-        reg = BackendRegistry()
-        cond = GaussianCondition(np.float32(0.2), 1.0)
-        reg.register("src", cond)
+        src = GaussianCondition(np.float32(0.2), 1.0)
+        tar = GaussianCondition(np.float32(-0.7), 1.3)
+        reg = BackendRegistry(src, tar)
         state = random_latent(RngStream(7))
-        q = VelocityQuery(state.data, 0.5, "src")
-        assert np.array_equal(reg.velocity(q), gaussian_velocity(state.data, 0.5, cond))
+        for role, cond in (("source", src), ("target", tar)):
+            q = VelocityQuery(state.data, 0.5, role)
+            assert np.array_equal(reg.velocity(q), gaussian_velocity(state.data, 0.5, cond))
 
     def test_attention_dispatch_bitwise(self):
-        reg = BackendRegistry()
-        src, _, _ = TestToyAttention().make()
-        reg.register("toy", src)
+        src, tar, _ = TestToyAttention().make()
+        reg = BackendRegistry(src, tar)
         state = random_latent(RngStream(8), (1, 2, 2, 3, 3))
-        q = VelocityQuery(state.data, 0.5, "toy")
-        direct, _ = toy_attention_velocity(state.data, 0.5, src)
-        assert np.array_equal(reg.velocity(q), direct)
+        for role, cond in (("source", src), ("target", tar)):
+            direct, _ = toy_attention_velocity(state.data, 0.5, cond)
+            assert np.array_equal(reg.velocity(VelocityQuery(state.data, 0.5, role)), direct)
 
     def test_unknown_condition(self):
-        reg = BackendRegistry()
         state = random_latent(RngStream(9))
-        with pytest.raises(UnknownConditionError, match="unknown condition"):
-            reg.velocity(VelocityQuery(state.data, 0.5, "nope"))
+        with pytest.raises(ValueError, match="'source' or 'target'"):
+            VelocityQuery(state.data, 0.5, "nope")
+
+    @pytest.mark.parametrize("role", ["source", "target"])
+    def test_registry_rejects_non_condition(self, role):
+        cond = GaussianCondition(np.float32(0.0), 1.0)
+        pair = {"source": cond, "target": cond, role: "cond"}
+        with pytest.raises(TypeError, match=f"{role} must be a condition, got str"):
+            BackendRegistry(**pair)

@@ -187,8 +187,8 @@ class TestResolvers:
         spec = RunSpec()
         latent = resolve_source(spec)
         reg = build_backend(spec, latent)
-        assert isinstance(reg.condition("source"), GaussianCondition)
-        assert isinstance(reg.condition("target"), GaussianCondition)
+        assert isinstance(reg.source, GaussianCondition)
+        assert isinstance(reg.target, GaussianCondition)
 
     @pytest.mark.parametrize("key", ["source_mean", "target_mean"])
     @pytest.mark.parametrize("raw", ["0,0,0", ""])
@@ -205,13 +205,13 @@ class TestResolvers:
     def test_build_backend_accepts_one_or_channel_count_means(self, raw):
         spec = parse_config_text(one_key("backend.source_mean", raw))
         reg = build_backend(spec, resolve_source(spec))
-        assert isinstance(reg.condition("source"), GaussianCondition)
+        assert isinstance(reg.source, GaussianCondition)
 
     def test_build_backend_toy(self):
         spec = parse_config_text("[backend]\ntype = toy_attention\n")
         latent = resolve_source(spec)
         reg = build_backend(spec, latent)
-        assert isinstance(reg.condition("source"), ToyAttentionCondition)
+        assert isinstance(reg.source, ToyAttentionCondition)
 
     def test_build_edit_config(self):
         spec = parse_config_text("[io]\nbaseline_blend = true\nseed = 9\n")

@@ -139,8 +139,6 @@ def sweep_cfg(**kw):
         grid=TimeGrid.uniform(6, skip=1),
         sar=SarConfig(beta1=0.0, beta2=0.0),
         amm=AmmConfig(),
-        source_condition="src",
-        target_condition="tar",
         mask=EditMask(np.ones((1, 4, 4), dtype=np.uint8)),
         j_tar=TargetTokenSet.of(0),
         seed=5,
@@ -151,10 +149,9 @@ def sweep_cfg(**kw):
 
 class TestFrameSweep:
     def registry(self, shift=1.0):
-        reg = BackendRegistry()
-        reg.register("src", GaussianCondition(np.float32(0.0), 1.0))
-        reg.register("tar", GaussianCondition(np.float32(shift), 1.0))
-        return reg
+        return BackendRegistry(
+            GaussianCondition(np.float32(0.0), 1.0), GaussianCondition(np.float32(shift), 1.0)
+        )
 
     def test_single_frame_has_zero_gain_column(self):
         rows = frame_sweep(sweep_family(), sweep_cfg(), self.registry(), [1])

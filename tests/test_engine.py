@@ -14,7 +14,7 @@ from flowsteer.engine import (
     editing_signal,
     run_edit,
 )
-from flowsteer.errors import NonFiniteStateError, ShapeMismatchError, UnknownConditionError
+from flowsteer.errors import NonFiniteStateError, ShapeMismatchError
 from flowsteer.sar import SarConfig, TargetTokenSet
 
 from conftest import random_latent
@@ -31,10 +31,10 @@ def full_mask(dims=DIMS):
 
 
 def gaussian_registry(src_mean=0.0, tar_mean=0.0, scale=1.0, channels=2):
-    reg = BackendRegistry()
-    reg.register("src", GaussianCondition(np.full(channels, src_mean, dtype=np.float32), scale))
-    reg.register("tar", GaussianCondition(np.full(channels, tar_mean, dtype=np.float32), scale))
-    return reg
+    return BackendRegistry(
+        GaussianCondition(np.full(channels, src_mean, dtype=np.float32), scale),
+        GaussianCondition(np.full(channels, tar_mean, dtype=np.float32), scale),
+    )
 
 
 def make_cfg(
@@ -49,8 +49,6 @@ def make_cfg(
         grid=grid or TimeGrid.uniform(25, skip=2),
         sar=sar or SarConfig(),
         amm=amm or AmmConfig(),
-        source_condition="src",
-        target_condition="tar",
         mask=mask or full_mask(),
         j_tar=j_tar or TargetTokenSet.of(0),
         **kw,
@@ -160,11 +158,9 @@ class TestRunEdit:
         assert len(report.steps) == 23
 
     def test_null_edit_fixed_point_toy_backend(self, make_latent):
-        reg = BackendRegistry()
         j_tar = TargetTokenSet.of(1)
         src, _ = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
-        reg.register("src", src)
-        reg.register("tar", src)
+        reg = BackendRegistry(src, src)
         # zero strengths: the hook runs through the full path as an identity
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0), j_tar=j_tar)
         x = make_latent()
@@ -174,11 +170,9 @@ class TestRunEdit:
     def test_toy_backend_refinement_breaks_null_edit(self, make_latent):
         # with nonzero strengths the hook shapes only the target velocity,
         # so identical conditions still produce a nonzero signal by design
-        reg = BackendRegistry()
         j_tar = TargetTokenSet.of(1)
         src, _ = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
-        reg.register("src", src)
-        reg.register("tar", src)
+        reg = BackendRegistry(src, src)
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
         bits[:, :2, :] = 1
         cfg = make_cfg(sar=SarConfig(beta1=0.3, beta2=0.3), j_tar=j_tar, mask=EditMask(bits))
@@ -273,14 +267,6 @@ class TestRunEdit:
         assert cosine > 0.999
         assert (move.max() - move.min()) / abs(move.mean()) < 5e-3
 
-    def test_unknown_condition_rejected(self, make_latent):
-        reg = gaussian_registry(0.0, 1.0)
-        from dataclasses import replace
-
-        cfg = replace(make_cfg(), target_condition="missing")
-        with pytest.raises(UnknownConditionError):
-            run_edit(make_latent(), cfg, reg)
-
     def test_mask_shape_mismatch_rejected(self, make_latent):
         reg = gaussian_registry(0.0, 1.0)
         bad = EditMask(np.ones((1, 2, 2), dtype=np.uint8))
@@ -327,11 +313,9 @@ class TestRunEdit:
     def test_attention_logit_overflow_names_step(self, tokens, step):
         # a finite but huge source overflows the attention logits; a -inf
         # logit must not drop out of the softmax as an exact zero weight
-        reg = BackendRegistry()
         j_tar = TargetTokenSet.of(1)
         src, tar = make_toy_condition_pair(5, tokens=tokens, query_dim=3, channels=2, j_tar=j_tar)
-        reg.register("src", src)
-        reg.register("tar", tar)
+        reg = BackendRegistry(src, tar)
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
         bits[:, :2, :] = 1
         cfg = make_cfg(grid=TimeGrid.uniform(6, skip=2), mask=EditMask(bits), j_tar=j_tar, seed=4)
@@ -340,12 +324,10 @@ class TestRunEdit:
         assert err.value.step_index == step
 
     def test_bad_target_token_is_a_plain_value_error(self, make_latent):
-        reg = BackendRegistry()
         src, tar = make_toy_condition_pair(
             5, tokens=4, query_dim=3, channels=2, j_tar=TargetTokenSet.of(1)
         )
-        reg.register("src", src)
-        reg.register("tar", tar)
+        reg = BackendRegistry(src, tar)
         cfg = make_cfg(j_tar=TargetTokenSet.of(9))
         with pytest.raises(ValueError, match="index 9 out of range") as err:
             run_edit(make_latent(), cfg, reg)
@@ -359,8 +341,8 @@ class TestTraceSeam:
     GAUSS_SPANS = {
         "amm.amplify": 4,
         "amm.contrast_map": 4,
-        "backends.velocity_src": 8,
-        "backends.velocity_tar": 8,
+        "backends.velocity_source": 8,
+        "backends.velocity_target": 8,
         "core.interpolate_source": 12,
         "core.sample_gaussian": 8,
         "diagnostics.binarize_signal": 8,
@@ -372,8 +354,8 @@ class TestTraceSeam:
     TOY_SPANS = {
         "amm.amplify": 8,
         "amm.contrast_map": 8,
-        "backends.velocity_src": 8,
-        "backends.velocity_tar": 8,
+        "backends.velocity_source": 8,
+        "backends.velocity_target": 8,
         "core.interpolate_source": 8,
         "core.sample_gaussian": 8,
         "diagnostics.binarize_signal": 16,
@@ -403,9 +385,7 @@ class TestTraceSeam:
         )
         j_tar = TargetTokenSet.of(1)
         src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
-        toy = BackendRegistry()
-        toy.register("src", src)
-        toy.register("tar", tar)
+        toy = BackendRegistry(src, tar)
         toy_cfg = make_cfg(grid=TimeGrid.uniform(10, skip=2), mask=mask, j_tar=j_tar, seed=4)
 
         owners = (

@@ -212,3 +212,20 @@ class TestCli:
         cfg_path = tmp_path / "bad2.cfg"
         cfg_path.write_text("[sar]\nbeta1 = 7\n", encoding="utf-8")
         assert cli_main(["edit", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["edit"], ["metrics"], ["sweep", "--frames", "1"]], ids=lambda a: a[0]
+    )
+    def test_missing_config_file_exit_code(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.cfg"
+        assert cli_main([argv[0], str(missing), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("frames", ["1,x", "", " , "])
+    def test_bad_frames_exit_code(self, tmp_path, capsys, frames):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(SHIFT_EDIT + f"\nout_dir = {tmp_path / 'sw'}\n", encoding="utf-8")
+        assert cli_main(["sweep", str(cfg_path), "--frames", frames]) == 2
+        assert capsys.readouterr().err.startswith("error: --frames")
+        assert not (tmp_path / "sw").exists()

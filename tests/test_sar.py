@@ -11,9 +11,7 @@ from flowsteer.sar import (
     TargetTokenSet,
     apply_sar,
     spatiotemporal_modulation,
-    st_bounds,
     text_token_modulation,
-    token_bounds,
 )
 
 from conftest import ORACLE_TOKENS, ORACLE_VOXELS, special_logits
@@ -40,32 +38,6 @@ def random_case(rng: RngStream, voxels: int, tokens: int):
     order = np.argsort(rng.uniforms(tokens))
     j_tar = TargetTokenSet(frozenset(int(i) for i in order[:n_tar]))
     return maps_from(logits), mask_from(mask_bits), j_tar
-
-
-class TestBounds:
-    def test_row_bounds(self):
-        maps = maps_from([[0.2, 0.5, 0.3]])
-        assert token_bounds(maps, 0) == (0.5, 0.2)
-
-    def test_constant_row(self):
-        maps = maps_from([[1.5, 1.5, 1.5]])
-        assert token_bounds(maps, 0) == (1.5, 1.5)
-
-    def test_single_token_row(self):
-        maps = maps_from([[0.7]])
-        assert token_bounds(maps, 0) == (0.7, 0.7)
-
-    def test_column_bounds(self):
-        maps = maps_from([[1.0], [4.0], [2.0]])
-        assert st_bounds(maps, 0) == (4.0, 1.0)
-
-    def test_single_voxel_column(self):
-        maps = maps_from([[3.0, 5.0]])
-        assert st_bounds(maps, 1) == (5.0, 5.0)
-
-    def test_constant_column(self):
-        maps = maps_from([[2.0], [2.0]])
-        assert st_bounds(maps, 0) == (2.0, 2.0)
 
 
 class TestTextTokenModulation:
