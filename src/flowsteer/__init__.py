@@ -10,7 +10,7 @@ field and a toy cross-attention model, both deterministic and verifiable
 at desk scale.
 """
 
-from .amm import AmmConfig, apply_amm, contrast_map, gamma_f
+from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import (
     BackendRegistry,
     GaussianCondition,
@@ -52,7 +52,6 @@ from .metrics import (
     warp_error,
 )
 from .sar import (
-    AttentionMaps,
     SarConfig,
     TargetTokenSet,
     apply_sar,
@@ -62,7 +61,6 @@ from .sar import (
 
 __all__ = [
     "AmmConfig",
-    "AttentionMaps",
     "BackendRegistry",
     "EditConfig",
     "EditMask",
@@ -78,7 +76,7 @@ __all__ = [
     "ToyFrameEmbedder",
     "VelocityQuery",
     "VideoLatent",
-    "apply_amm",
+    "amplify",
     "apply_sar",
     "binarize_signal",
     "blend_baseline",

@@ -63,8 +63,3 @@ def amplify(dv: np.ndarray, contrast: np.ndarray, gain: float) -> np.ndarray:
         raise ValueError(f"gain must be >= 0, got {gain}")
     factor = 1.0 + np.float32(gain) * contrast
     return factor * dv
-
-
-def apply_amm(dv: np.ndarray, cfg: AmmConfig, frames: int) -> np.ndarray:
-    """Full modulation pass; bitwise identity when frames == 1 or gamma == 0."""
-    return amplify(dv, contrast_map(dv, cfg.epsilon), gamma_f(cfg, frames))

@@ -27,10 +27,11 @@ import numpy as np
 
 from .core import RngStream, clamp_time
 from .errors import ShapeMismatchError
-from .sar import AttentionMaps, TargetTokenSet, _row_extreme
+from .sar import TargetTokenSet, _row_extreme
 
-# Hook over pre-softmax logits; second argument is the attention layer index.
-AttentionHook = Callable[[AttentionMaps, int], AttentionMaps]
+# Hook over the pre-softmax (F*H*W, L) logit matrix; second argument is the
+# attention layer index. It returns the logits to softmax, its input if unchanged.
+AttentionHook = Callable[[np.ndarray, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def toy_attention_velocity(
     cond: ToyAttentionCondition,
     hook: Optional[AttentionHook] = None,
     layer: int = 0,
-) -> tuple[np.ndarray, list[AttentionMaps]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Attention-mixed velocity plus the post-hook, post-softmax maps per sample.
 
     Queries are a fixed linear map of voxel coordinates and local channel
@@ -217,21 +218,19 @@ def toy_attention_velocity(
         raise ShapeMismatchError(
             f"condition produces {cond.channels} channels, latent has {channels}"
         )
-    dims = (frames, height, width, cond.tokens)
     outs = []
-    maps: list[AttentionMaps] = []
+    maps: list[np.ndarray] = []
     for b in range(batch):
         feats = _voxel_features(state, b)
         queries = feats @ cond.query_weights
         logits = queries @ cond.text_keys.T
         logits /= np.float32(cond.temperature)
-        attn = AttentionMaps(logits, dims)
         if hook is not None:
-            attn = hook(attn, layer)
-        probs = _softmax_rows(attn.logits)
+            logits = hook(logits, layer)
+        probs = _softmax_rows(logits)
         mixed = probs @ cond.text_values  # (F*H*W, C)
         outs.append(mixed.T.reshape(channels, frames, height, width))
-        maps.append(AttentionMaps(probs, dims))
+        maps.append(probs)
     return np.stack(outs), maps
 
 
@@ -251,7 +250,7 @@ class BackendRegistry:
 
     def velocity_with_maps(
         self, query: VelocityQuery
-    ) -> tuple[np.ndarray, list[AttentionMaps]]:
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Dispatch a query; attention maps are empty for map-free backends."""
         cond = self.source if query.condition == "source" else self.target
         if isinstance(cond, GaussianCondition):

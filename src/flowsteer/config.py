@@ -240,7 +240,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunSpec:
 
 def parse_config(path: str | Path) -> RunSpec:
     path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def _fmt(value) -> str:

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .amm import contrast_map, gamma_f
+from .amm import contrast_map
 from .core import EditMask, VideoLatent
 from .errors import ShapeMismatchError
 
@@ -69,6 +69,11 @@ def magnitude_stats(dv: np.ndarray) -> tuple[float, tuple[float, ...]]:
     return overall, per_frame
 
 
+def report_rows(report) -> list[tuple[int, int, float, float, float]]:
+    """(F, step, mean_abs, iou, gamma_f) rows of an ``EditReport``, one per step."""
+    return [(report.frames, rec.index, rec.mean_abs, rec.iou, report.gain) for rec in report.steps]
+
+
 def frame_sweep(
     family: Callable[[int], tuple[VideoLatent, EditMask]],
     base_cfg,
@@ -93,9 +98,7 @@ def frame_sweep(
             )
         cfg = replace(base_cfg, mask=mask)
         _, report = run_edit(x_src, cfg, backend)
-        gain = gamma_f(cfg.amm, frames)
-        for rec in report.steps:
-            rows.append((int(frames), rec.index, rec.mean_abs, rec.iou, gain))
+        rows.extend(report_rows(report))
     return rows
 
 

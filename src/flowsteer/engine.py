@@ -43,7 +43,7 @@ from .backends import BackendRegistry, VelocityQuery
 from .core import EditMask, RngStream, TimeGrid, VideoLatent, interpolate_source, sample_gaussian
 from .diagnostics import binarize_signal, iou, magnitude_stats
 from .errors import NonFiniteStateError, ShapeMismatchError
-from .sar import AttentionMaps, SarConfig, TargetTokenSet, apply_sar
+from .sar import SarConfig, TargetTokenSet, apply_sar
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ def blend_baseline(z_edit: np.ndarray, z_reference: np.ndarray, mask: EditMask) 
 
 
 def _sar_hook(cfg: EditConfig, t: float):
-    def hook(maps: AttentionMaps, layer: int) -> AttentionMaps:
-        return apply_sar(maps, cfg.mask, cfg.j_tar, cfg.sar, t, cfg.grid, layer)
+    def hook(logits: np.ndarray, layer: int) -> np.ndarray:
+        return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, cfg.grid, layer)
 
     return hook
 

@@ -2,8 +2,8 @@
 
 Videos here are plain arrays whose trailing dims are (F, H, W); leading
 batch/channel dims broadcast against the mask. Metrics needing learned
-features take a FrameEmbedder provider, so real embedders can be wired in
-later; the bundled toy embedder is normalized block-mean pixels.
+features take an embedder whose ``embed`` maps an (H, W) frame to a
+unit-norm vector; the bundled toy embedder is normalized block-mean pixels.
 
 Flow-warp error uses backward bilinear sampling with border clamping:
 cells whose source coordinate falls outside the frame by more than half a
@@ -14,7 +14,6 @@ mean over all included cells of all frame pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class FlowField:
     @property
     def pairs(self) -> int:
         return self.data.shape[0]
-
-
-class FrameEmbedder(Protocol):
-    def embed(self, frame: np.ndarray) -> np.ndarray:
-        """Map a (H, W) frame to a unit-norm feature vector."""
-        ...
 
 
 class ToyFrameEmbedder:
@@ -184,7 +177,7 @@ def warp_error(video: np.ndarray, flow: FlowField) -> float:
     return warp_error_detail(video, flow).value
 
 
-def frame_consistency(video: np.ndarray, embedder: FrameEmbedder) -> float:
+def frame_consistency(video: np.ndarray, embedder: ToyFrameEmbedder) -> float:
     """Mean cosine similarity between embeddings of consecutive frames."""
     vid = _check_video(video, "video")
     if vid.ndim != 3:
@@ -203,7 +196,7 @@ def local_structure_similarity(
     src: np.ndarray,
     edit: np.ndarray,
     mask: EditMask,
-    embedder: FrameEmbedder,
+    embedder: ToyFrameEmbedder,
 ) -> float:
     """Mean per-frame cosine between embeddings of the mask's bounding-box crops.
 

@@ -36,7 +36,7 @@ from .config import (
     resolve_source,
 )
 from .core import EditMask, VideoLatent, read_fatn, save_tensor, write_pgm
-from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, sweep_rows_to_csv
+from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, report_rows, sweep_rows_to_csv
 from .engine import EditReport, run_edit
 from .errors import ConfigError, FlowSteerError
 from .metrics import (
@@ -180,12 +180,7 @@ def emit_report(
     (run_dir / "report.json").write_text(
         report_to_json(spec, report, result, metric_values, error), encoding="utf-8"
     )
-    rows = []
-    if report is not None:
-        rows = [
-            (report.frames, rec.index, rec.mean_abs, rec.iou, report.gain)
-            for rec in report.steps
-        ]
+    rows = report_rows(report) if report is not None else []
     (run_dir / "diagnostics.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     if report is not None and spec.io.save_contrast_maps:
         for rec in report.steps:

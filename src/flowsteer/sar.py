@@ -17,6 +17,13 @@ modulated values never leave the original logit range and the softmax
 downstream still yields probability rows. The refinement is gated to the
 early, high-t part of a run: it applies only while t >= tau_fraction *
 t_max and only on configured layers.
+
+The logits are a plain (F*H*W, L) array, one row per voxel in the mask's
+flattened order. The passes take a boolean row selector (the masked voxels)
+and a boolean column selector (the target tokens); ``apply_sar`` builds both
+from the ``EditMask`` and ``TargetTokenSet`` once per call and checks the
+mask's voxel count against the logit rows there. A pass that changes
+nothing returns its input array itself; otherwise it returns a new array.
 """
 
 from __future__ import annotations
@@ -29,40 +36,6 @@ import numpy as np
 
 from .core import EditMask, TimeGrid
 from .errors import ConfigError, ShapeMismatchError
-
-
-@dataclass(frozen=True)
-class AttentionMaps:
-    """Per-layer attention matrix of shape (F*H*W) x L with its voxel dims.
-
-    Holds pre-softmax logits while hooks run; backends reuse the container
-    for post-softmax weights when reporting diagnostics. Only the shape is
-    checked: a non-finite logit reaches the velocity, and the editing loop's
-    end-of-step check reports it.
-    """
-
-    logits: np.ndarray
-    dims: tuple[int, int, int, int]  # (F, H, W, L)
-
-    def __post_init__(self):
-        arr = np.asarray(self.logits)
-        f, h, w, tokens = self.dims
-        if arr.ndim != 2 or arr.shape != (f * h * w, tokens):
-            raise ShapeMismatchError(
-                f"logit matrix shape {arr.shape} does not match dims {self.dims}"
-            )
-        arr = np.ascontiguousarray(arr)
-        arr = arr.view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "logits", arr)
-
-    @property
-    def voxels(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def tokens(self) -> int:
-        return self.logits.shape[1]
 
 
 @dataclass(frozen=True)
@@ -118,13 +91,6 @@ class SarConfig:
         return self.layer_set is None or layer in self.layer_set
 
 
-def _mask_rows(maps: AttentionMaps, mask: EditMask) -> np.ndarray:
-    f, h, w, _ = maps.dims
-    if mask.shape != (f, h, w):
-        raise ShapeMismatchError(f"mask shape {mask.shape} does not match voxel grid {(f, h, w)}")
-    return mask.flat()
-
-
 def _row_extreme(logits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """(N, 1) row max (``np.maximum``) or row min (``np.minimum``) of an (N, L) matrix.
 
@@ -141,11 +107,11 @@ def _row_extreme(logits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
 
 
 def text_token_modulation(
-    maps: AttentionMaps,
-    mask: EditMask,
-    j_tar: TargetTokenSet,
+    logits: np.ndarray,
+    rows: np.ndarray,
+    tar_cols: np.ndarray,
     beta1: float,
-) -> AttentionMaps:
+) -> np.ndarray:
     """Convex pull of masked rows toward their extrema, keyed by token role.
 
     For voxels with mask 1, target-token entries become
@@ -154,28 +120,23 @@ def text_token_modulation(
     """
     if not 0.0 <= beta1 <= 1.0:
         raise ValueError(f"beta1 must be in [0, 1], got {beta1}")
-    if beta1 == 0.0:
-        return maps
-    logits = maps.logits
-    rows = _mask_rows(maps, mask)
-    if not rows.any():
-        return maps
-    tar_cols = j_tar.column_selector(maps.tokens)
+    if beta1 == 0.0 or not rows.any():
+        return logits
     sub = logits[rows]
     row_max = _row_extreme(sub, np.maximum)
     row_min = _row_extreme(sub, np.minimum)
     pulled = np.where(tar_cols[None, :], row_max, row_min)
     out = logits.copy()
     out[rows] = (1.0 - beta1) * sub + beta1 * pulled
-    return AttentionMaps(out, maps.dims)
+    return out
 
 
 def spatiotemporal_modulation(
-    maps: AttentionMaps,
-    mask: EditMask,
-    j_tar: TargetTokenSet,
+    logits: np.ndarray,
+    rows: np.ndarray,
+    tar_cols: np.ndarray,
     beta2: float,
-) -> AttentionMaps:
+) -> np.ndarray:
     """Convex pull of target-token columns toward their spatial extrema.
 
     Masked voxels move toward the column max, unmasked voxels toward the
@@ -184,40 +145,45 @@ def spatiotemporal_modulation(
     if not 0.0 <= beta2 <= 1.0:
         raise ValueError(f"beta2 must be in [0, 1], got {beta2}")
     if beta2 == 0.0:
-        return maps
-    logits = maps.logits
-    rows = _mask_rows(maps, mask)
-    tar_cols = j_tar.column_selector(maps.tokens)
+        return logits
     sub = logits[:, tar_cols]
     col_max = sub.max(axis=0, keepdims=True)
     col_min = sub.min(axis=0, keepdims=True)
     pulled = np.where(rows[:, None], col_max, col_min)
     out = logits.copy()
     out[:, tar_cols] = (1.0 - beta2) * sub + beta2 * pulled
-    return AttentionMaps(out, maps.dims)
+    return out
 
 
 def apply_sar(
-    maps: AttentionMaps,
+    logits: np.ndarray,
     mask: EditMask,
     j_tar: TargetTokenSet,
     cfg: SarConfig,
     t: float,
     grid: TimeGrid,
     layer: int = 0,
-) -> AttentionMaps:
+) -> np.ndarray:
     """Gated composition of both modulation passes on pre-softmax logits.
 
     Outside the active window (t < tau_fraction * t_max) or off the
-    configured layers the input is returned unchanged.
+    configured layers, and when both passes are no-ops, the input array
+    itself is returned. Inside the window the mask becomes the row selector
+    and the target tokens the column selector, once for both passes.
     """
     if t < cfg.tau_fraction * grid.t_max or not cfg.applies_to_layer(layer):
-        return maps
+        return logits
     if mask.is_empty() and cfg.beta2 > 0.0:
         warnings.warn(
             "attention refinement with an all-zero mask suppresses target "
             "tokens everywhere; check the mask input",
             stacklevel=2,
         )
-    refined = text_token_modulation(maps, mask, j_tar, cfg.beta1)
-    return spatiotemporal_modulation(refined, mask, j_tar, cfg.beta2)
+    rows = mask.flat()
+    if rows.size != logits.shape[0]:
+        raise ShapeMismatchError(
+            f"mask has {rows.size} voxels but the logit matrix has {logits.shape[0]} rows"
+        )
+    tar_cols = j_tar.column_selector(logits.shape[1])
+    refined = text_token_modulation(logits, rows, tar_cols, cfg.beta1)
+    return spatiotemporal_modulation(refined, rows, tar_cols, cfg.beta2)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .amm import AmmConfig, apply_amm, contrast_map, gamma_f
+from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import BackendRegistry, GaussianCondition, gaussian_velocity, make_toy_condition_pair
 from .config import parse_config_text, with_out_dir
 from .core import EditMask, RngStream, TimeGrid, VideoLatent
@@ -32,13 +32,7 @@ from .diagnostics import iou
 from .engine import EditConfig, run_edit
 from .metrics import FlowField, ToyFrameEmbedder, frame_consistency, masked_psnr, warp_error
 from .runner import run_batch
-from .sar import (
-    AttentionMaps,
-    SarConfig,
-    TargetTokenSet,
-    spatiotemporal_modulation,
-    text_token_modulation,
-)
+from .sar import SarConfig, TargetTokenSet, spatiotemporal_modulation, text_token_modulation
 
 
 @dataclass
@@ -54,12 +48,12 @@ def _random_sar_case(rng: RngStream, max_voxels=16, max_tokens=6):
     voxels = 4 + int(rng.uniforms(1)[0] * (max_voxels - 4))
     tokens = 2 + int(rng.uniforms(1)[0] * (max_tokens - 2))
     logits = rng.normals(voxels * tokens).astype(np.float32).reshape(voxels, tokens)
-    maps = AttentionMaps(logits, (voxels, 1, 1, tokens))
-    mask = EditMask((rng.uniforms(voxels) < 0.5).astype(np.uint8).reshape(voxels, 1, 1))
+    rows = rng.uniforms(voxels) < 0.5
     n_tar = 1 + int(rng.uniforms(1)[0] * (tokens - 1) * 0.49)
     order = np.argsort(rng.uniforms(tokens))
-    j_tar = TargetTokenSet(frozenset(int(i) for i in order[:n_tar]))
-    return maps, mask, j_tar
+    tar_cols = np.zeros(tokens, dtype=bool)
+    tar_cols[order[:n_tar]] = True
+    return logits, rows, tar_cols
 
 
 def check_sar_range_preservation() -> tuple[bool, str]:
@@ -68,26 +62,24 @@ def check_sar_range_preservation() -> tuple[bool, str]:
     rng = RngStream(101)
     worst = 0.0
     for _ in range(10_000):
-        maps, mask, j_tar = _random_sar_case(rng)
+        logits, rows, tar_cols = _random_sar_case(rng)
         b1, b2 = (float(v) for v in rng.uniforms(2))
-        step1 = text_token_modulation(maps, mask, j_tar, b1)
-        lo = maps.logits.min(axis=1, keepdims=True)
-        hi = maps.logits.max(axis=1, keepdims=True)
+        step1 = text_token_modulation(logits, rows, tar_cols, b1)
+        lo = logits.min(axis=1, keepdims=True)
+        hi = logits.max(axis=1, keepdims=True)
         slack = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-        if ((step1.logits < lo - slack) | (step1.logits > hi + slack)).any():
+        if ((step1 < lo - slack) | (step1 > hi + slack)).any():
             return False, "step 1 left the row extrema"
         worst = max(
             worst,
-            float((lo - step1.logits).max()),
-            float((step1.logits - hi).max()),
+            float((lo - step1).max()),
+            float((step1 - hi).max()),
         )
-        step2 = spatiotemporal_modulation(step1, mask, j_tar, b2)
-        for j in sorted(j_tar.indices):
-            col = step1.logits[:, j]
+        step2 = spatiotemporal_modulation(step1, rows, tar_cols, b2)
+        for j in np.flatnonzero(tar_cols):
+            col = step1[:, j]
             cs = 4 * np.spacing(np.maximum(np.abs(col.min()), np.abs(col.max())))
-            if (step2.logits[:, j] < col.min() - cs).any() or (
-                step2.logits[:, j] > col.max() + cs
-            ).any():
+            if (step2[:, j] < col.min() - cs).any() or (step2[:, j] > col.max() + cs).any():
                 return False, "step 2 left the column extrema"
     return True, f"10000 cases, worst excess {worst:.2e}"
 
@@ -96,28 +88,26 @@ def check_sar_endpoints() -> tuple[bool, str]:
     """1,000 random maps: beta 0 is a bitwise identity, beta 1 assigns extrema."""
     rng = RngStream(202)
     for _ in range(1_000):
-        maps, mask, j_tar = _random_sar_case(rng)
-        ident = text_token_modulation(maps, mask, j_tar, 0.0)
-        if ident.logits.tobytes() != maps.logits.tobytes():
+        logits, rows, tar_cols = _random_sar_case(rng)
+        ident = text_token_modulation(logits, rows, tar_cols, 0.0)
+        if ident.tobytes() != logits.tobytes():
             return False, "beta1=0 changed the logits"
-        ident2 = spatiotemporal_modulation(maps, mask, j_tar, 0.0)
-        if ident2.logits.tobytes() != maps.logits.tobytes():
+        ident2 = spatiotemporal_modulation(logits, rows, tar_cols, 0.0)
+        if ident2.tobytes() != logits.tobytes():
             return False, "beta2=0 changed the logits"
-        rows = mask.flat()
-        tar = j_tar.column_selector(maps.tokens)
-        pinned = text_token_modulation(maps, mask, j_tar, 1.0)
+        pinned = text_token_modulation(logits, rows, tar_cols, 1.0)
         expect = np.where(
-            tar[None, :],
-            maps.logits.max(axis=1, keepdims=True),
-            maps.logits.min(axis=1, keepdims=True),
+            tar_cols[None, :],
+            logits.max(axis=1, keepdims=True),
+            logits.min(axis=1, keepdims=True),
         )
-        if rows.any() and not np.array_equal(pinned.logits[rows], expect[rows]):
+        if rows.any() and not np.array_equal(pinned[rows], expect[rows]):
             return False, "beta1=1 missed the row extrema"
-        pinned2 = spatiotemporal_modulation(maps, mask, j_tar, 1.0)
-        for j in sorted(j_tar.indices):
-            col = maps.logits[:, j]
+        pinned2 = spatiotemporal_modulation(logits, rows, tar_cols, 1.0)
+        for j in np.flatnonzero(tar_cols):
+            col = logits[:, j]
             want = np.where(rows, col.max(), col.min())
-            if not np.array_equal(pinned2.logits[:, j], want):
+            if not np.array_equal(pinned2[:, j], want):
                 return False, "beta2=1 missed the column extrema"
     return True, "1000 maps, both endpoints exact"
 
@@ -140,7 +130,7 @@ def check_amm_bounds() -> tuple[bool, str]:
         factor = 1.0 + np.float32(gain) * cm
         if (factor < 1.0).any() or (factor > 1.0 + np.float32(gain)).any():
             return False, "multiplier left [1, 1+gain]"
-        out = apply_amm(dv, cfg, frames)
+        out = amplify(dv, cm, gain)
         if (np.sign(out) * np.sign(dv) < 0).any():
             return False, "sign flipped"
         if (np.abs(out) < np.abs(dv)).any():

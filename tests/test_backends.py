@@ -122,7 +122,7 @@ class TestToyAttention:
         src, _, _ = self.make(tokens=1)
         state = random_latent(RngStream(1), (1, 2, 2, 3, 3))
         _, maps = toy_attention_velocity(state.data, 0.8, src)
-        assert np.array_equal(maps[0].logits, np.ones_like(maps[0].logits))
+        assert np.array_equal(maps[0], np.ones_like(maps[0]))
 
     def test_high_temperature_is_uniform(self):
         src, _, _ = self.make()
@@ -131,7 +131,7 @@ class TestToyAttention:
         )
         state = random_latent(RngStream(2), (1, 2, 2, 3, 3))
         _, maps = toy_attention_velocity(state.data, 0.8, hot)
-        assert np.allclose(maps[0].logits, 0.25, atol=1e-6)
+        assert np.allclose(maps[0], 0.25, atol=1e-6)
 
     def test_deterministic(self):
         src, _, _ = self.make()
@@ -139,7 +139,7 @@ class TestToyAttention:
         v1, m1 = toy_attention_velocity(state.data, 0.8, src)
         v2, m2 = toy_attention_velocity(state.data, 0.8, src)
         assert np.array_equal(v1, v2)
-        assert all(np.array_equal(a.logits, b.logits) for a, b in zip(m1, m2))
+        assert all(np.array_equal(a, b) for a, b in zip(m1, m2))
 
     def test_identity_hook_bitwise_equal(self):
         src, _, _ = self.make()
@@ -152,7 +152,7 @@ class TestToyAttention:
         src, _, _ = self.make()
         state = random_latent(RngStream(5), (1, 2, 3, 4, 4))
         _, maps = toy_attention_velocity(state.data, 0.8, src)
-        assert np.allclose(maps[0].logits.sum(axis=1), 1.0, atol=1e-6)
+        assert np.allclose(maps[0].sum(axis=1), 1.0, atol=1e-6)
 
     def test_pair_shares_keys_and_projection(self):
         src, tar, j_tar = self.make()

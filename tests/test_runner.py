@@ -222,6 +222,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
 
+    @pytest.mark.parametrize(
+        "argv", [["edit"], ["metrics"], ["sweep", "--frames", "1"]], ids=lambda a: a[0]
+    )
+    def test_undecodable_config_file_exit_code(self, tmp_path, capsys, argv):
+        utf16 = tmp_path / "utf16.cfg"
+        utf16.write_bytes("[io]\nscenario = x\n".encode("utf-16"))  # starts with ff fe
+        assert cli_main([argv[0], str(utf16), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(utf16) in err
+
     @pytest.mark.parametrize("frames", ["1,x", "", " , "])
     def test_bad_frames_exit_code(self, tmp_path, capsys, frames):
         cfg_path = tmp_path / "sweep.cfg"

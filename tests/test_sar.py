@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsteer import EditMask, RngStream, TimeGrid
+from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import (
-    AttentionMaps,
     _row_extreme,
     SarConfig,
     TargetTokenSet,
@@ -17,11 +17,8 @@ from flowsteer.sar import (
 from conftest import ORACLE_TOKENS, ORACLE_VOXELS, special_logits
 
 
-def maps_from(rows, dims=None):
-    arr = np.asarray(rows, dtype=np.float64)
-    if dims is None:
-        dims = (arr.shape[0], 1, 1, arr.shape[1])
-    return AttentionMaps(arr, dims)
+def logits_from(rows):
+    return np.asarray(rows, dtype=np.float64)
 
 
 def mask_from(bits, dims=None):
@@ -37,39 +34,43 @@ def random_case(rng: RngStream, voxels: int, tokens: int):
     n_tar = 1 + int(rng.uniforms(1)[0] * (tokens - 1) * 0.5)
     order = np.argsort(rng.uniforms(tokens))
     j_tar = TargetTokenSet(frozenset(int(i) for i in order[:n_tar]))
-    return maps_from(logits), mask_from(mask_bits), j_tar
+    return logits_from(logits), mask_from(mask_bits), j_tar
+
+
+def random_pass_case(rng: RngStream, voxels: int, tokens: int):
+    """A random case as the passes see it: logits, row selector, column selector."""
+    logits, mask, j_tar = random_case(rng, voxels, tokens)
+    return logits, mask.flat(), j_tar.column_selector(tokens)
 
 
 class TestTextTokenModulation:
     def test_beta_zero_is_identity(self):
-        maps, mask, j_tar = random_case(RngStream(1), 8, 4)
-        out = text_token_modulation(maps, mask, j_tar, 0.0)
-        assert out.logits is maps.logits
+        logits, rows, tar = random_pass_case(RngStream(1), 8, 4)
+        out = text_token_modulation(logits, rows, tar, 0.0)
+        assert out is logits
 
     def test_beta_one_assigns_extrema(self):
-        maps, mask, j_tar = random_case(RngStream(2), 8, 4)
-        out = text_token_modulation(maps, mask, j_tar, 1.0)
-        tar = j_tar.column_selector(4)
-        rows = mask.flat()
+        logits, rows, tar = random_pass_case(RngStream(2), 8, 4)
+        out = text_token_modulation(logits, rows, tar, 1.0)
         expect = np.where(
             tar[None, :],
-            maps.logits[rows].max(axis=1, keepdims=True),
-            maps.logits[rows].min(axis=1, keepdims=True),
+            logits[rows].max(axis=1, keepdims=True),
+            logits[rows].min(axis=1, keepdims=True),
         )
-        assert np.array_equal(out.logits[rows], expect)
-        assert np.array_equal(out.logits[~rows], maps.logits[~rows])
+        assert np.array_equal(out[rows], expect)
+        assert np.array_equal(out[~rows], logits[~rows])
 
     def test_hand_case(self):
         # masked row [0.2, 0.5, 0.3], first token is the target, beta1 = 0.3:
         # target 0.2 + 0.3*(0.5 - 0.2) = 0.29, others pulled toward min 0.2
-        maps = maps_from([[0.2, 0.5, 0.3]])
-        out = text_token_modulation(maps, mask_from([1]), TargetTokenSet.of(0), 0.3)
-        assert np.allclose(out.logits, [[0.29, 0.41, 0.27]], atol=1e-12)
+        logits = logits_from([[0.2, 0.5, 0.3]])
+        out = text_token_modulation(logits, np.array([True]), np.array([True, False, False]), 0.3)
+        assert np.allclose(out, [[0.29, 0.41, 0.27]], atol=1e-12)
 
     def test_unmasked_rows_untouched(self):
-        maps = maps_from([[0.2, 0.5, 0.3]])
-        out = text_token_modulation(maps, mask_from([0]), TargetTokenSet.of(0), 0.9)
-        assert np.array_equal(out.logits, maps.logits)
+        logits = logits_from([[0.2, 0.5, 0.3]])
+        out = text_token_modulation(logits, np.array([False]), np.array([True, False, False]), 0.9)
+        assert out is logits
 
     def test_empty_target_set_rejected(self):
         with pytest.raises(ValueError):
@@ -123,47 +124,42 @@ class TestRowExtreme:
     @pytest.mark.parametrize("voxels", ORACLE_VOXELS)
     @pytest.mark.parametrize("kind", ["finite", "nonfinite", "signed_zero"])
     def test_text_token_modulation_matches_reduce_formula(self, kind, voxels):
-        mask_bits = (np.arange(voxels) % 4 != 1).astype(np.uint8)
-        mask = mask_from(mask_bits)
+        rows = np.arange(voxels) % 4 != 1
         for tokens in ORACLE_TOKENS:
             logits = special_logits(voxels, tokens, kind, seed=1)
-            j_tar = TargetTokenSet.of(0, tokens // 2)
-            maps = AttentionMaps(logits, (voxels, 1, 1, tokens))
+            tar = TargetTokenSet.of(0, tokens // 2).column_selector(tokens)
             with np.errstate(all="ignore"):
-                got = text_token_modulation(maps, mask, j_tar, 0.3).logits
-                want = reduce_text_token_modulation(
-                    logits, mask_bits.astype(bool), j_tar.column_selector(tokens), 0.3
-                )
+                got = text_token_modulation(logits, rows, tar, 0.3)
+                want = reduce_text_token_modulation(logits, rows, tar, 0.3)
             assert got.dtype == want.dtype
             assert_same_bits(got, want, zero_sign_free=kind == "signed_zero")
 
 
 class TestSpatiotemporalModulation:
     def test_beta_zero_is_identity(self):
-        maps, mask, j_tar = random_case(RngStream(3), 8, 4)
-        out = spatiotemporal_modulation(maps, mask, j_tar, 0.0)
-        assert out.logits is maps.logits
+        logits, rows, tar = random_pass_case(RngStream(3), 8, 4)
+        out = spatiotemporal_modulation(logits, rows, tar, 0.0)
+        assert out is logits
 
     def test_hand_case(self):
         # target column [1, 4], voxel 0 masked, voxel 1 not, beta2 = 0.5
-        maps = maps_from([[1.0], [4.0]])
-        out = spatiotemporal_modulation(maps, mask_from([1, 0]), TargetTokenSet.of(0), 0.5)
-        assert np.allclose(out.logits, [[2.5], [2.5]], atol=1e-12)
+        logits = logits_from([[1.0], [4.0]])
+        out = spatiotemporal_modulation(logits, np.array([True, False]), np.array([True]), 0.5)
+        assert np.allclose(out, [[2.5], [2.5]], atol=1e-12)
 
     def test_beta_one_assigns_extrema(self):
-        maps, mask, j_tar = random_case(RngStream(4), 10, 3)
-        out = spatiotemporal_modulation(maps, mask, j_tar, 1.0)
-        rows = mask.flat()
-        for j in sorted(j_tar.indices):
-            col = maps.logits[:, j]
-            assert np.array_equal(out.logits[rows, j], np.full(rows.sum(), col.max()))
-            assert np.array_equal(out.logits[~rows, j], np.full((~rows).sum(), col.min()))
+        logits, rows, tar = random_pass_case(RngStream(4), 10, 3)
+        out = spatiotemporal_modulation(logits, rows, tar, 1.0)
+        for j in np.flatnonzero(tar):
+            col = logits[:, j]
+            assert np.array_equal(out[rows, j], np.full(rows.sum(), col.max()))
+            assert np.array_equal(out[~rows, j], np.full((~rows).sum(), col.min()))
 
     def test_non_target_columns_untouched(self):
-        maps, mask, _ = random_case(RngStream(5), 10, 4)
-        out = spatiotemporal_modulation(maps, mask, TargetTokenSet.of(1), 0.7)
+        logits, rows, _ = random_pass_case(RngStream(5), 10, 4)
+        out = spatiotemporal_modulation(logits, rows, TargetTokenSet.of(1).column_selector(4), 0.7)
         keep = [0, 2, 3]
-        assert np.array_equal(out.logits[:, keep], maps.logits[:, keep])
+        assert np.array_equal(out[:, keep], logits[:, keep])
 
 
 def scalar_reference_sar(logits, mask_bits, targets, beta1, beta2):
@@ -195,33 +191,33 @@ class TestApplySar:
     GRID = TimeGrid.uniform(10)
 
     def test_gated_out_below_tau(self):
-        maps, mask, j_tar = random_case(RngStream(6), 6, 3)
+        logits, mask, j_tar = random_case(RngStream(6), 6, 3)
         cfg = SarConfig(beta1=0.5, beta2=0.5, tau_fraction=0.6)
-        out = apply_sar(maps, mask, j_tar, cfg, t=0.5, grid=self.GRID)
-        assert out.logits is maps.logits
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.5, grid=self.GRID)
+        assert out is logits
 
     def test_zero_strengths_identity_inside_window(self):
-        maps, mask, j_tar = random_case(RngStream(7), 6, 3)
+        logits, mask, j_tar = random_case(RngStream(7), 6, 3)
         cfg = SarConfig(beta1=0.0, beta2=0.0)
-        out = apply_sar(maps, mask, j_tar, cfg, t=0.9, grid=self.GRID)
-        assert out.logits is maps.logits
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID)
+        assert out is logits
 
     def test_layer_gating(self):
-        maps, mask, j_tar = random_case(RngStream(8), 6, 3)
+        logits, mask, j_tar = random_case(RngStream(8), 6, 3)
         cfg = SarConfig(layer_set=frozenset({2}))
-        out = apply_sar(maps, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=0)
-        assert out.logits is maps.logits
-        out2 = apply_sar(maps, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=2)
-        assert not np.array_equal(out2.logits, maps.logits)
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=0)
+        assert out is logits
+        out2 = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=2)
+        assert not np.array_equal(out2, logits)
 
     def test_matches_scalar_reference(self):
-        maps = maps_from([[0.2, -0.1], [0.4, 0.9]])
+        logits = logits_from([[0.2, -0.1], [0.4, 0.9]])
         mask = mask_from([1, 0])
         j_tar = TargetTokenSet.of(0)
         cfg = SarConfig(beta1=0.3, beta2=0.3, tau_fraction=0.6)
-        out = apply_sar(maps, mask, j_tar, cfg, t=1.0, grid=self.GRID)
-        ref = scalar_reference_sar(maps.logits, [1, 0], {0}, 0.3, 0.3)
-        assert np.allclose(out.logits, ref, atol=1e-15)
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=self.GRID)
+        ref = scalar_reference_sar(logits, [1, 0], {0}, 0.3, 0.3)
+        assert np.allclose(out, ref, atol=1e-15)
 
     # about one example in 128 draws an all-zero mask; the warning itself is
     # checked by test_empty_mask_warns_but_applies
@@ -229,85 +225,88 @@ class TestApplySar:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b1=st.floats(0, 1), b2=st.floats(0, 1))
     def test_random_cases_match_scalar_reference(self, seed, b1, b2):
-        maps, mask, j_tar = random_case(RngStream(seed), 7, 4)
+        logits, mask, j_tar = random_case(RngStream(seed), 7, 4)
         cfg = SarConfig(beta1=b1, beta2=b2)
-        out = apply_sar(maps, mask, j_tar, cfg, t=1.0, grid=self.GRID)
-        ref = scalar_reference_sar(
-            maps.logits, mask.flat().astype(int), j_tar.indices, b1, b2
-        )
-        assert np.allclose(out.logits, ref, rtol=1e-12, atol=1e-12)
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=self.GRID)
+        ref = scalar_reference_sar(logits, mask.flat().astype(int), j_tar.indices, b1, b2)
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
     def test_empty_mask_warns_but_applies(self):
-        maps, _, j_tar = random_case(RngStream(9), 6, 3)
+        logits, _, j_tar = random_case(RngStream(9), 6, 3)
         empty = mask_from([0] * 6)
         cfg = SarConfig(beta1=0.3, beta2=0.3)
         with pytest.warns(UserWarning, match="all-zero mask"):
-            out = apply_sar(maps, empty, j_tar, cfg, t=1.0, grid=self.GRID)
+            out = apply_sar(logits, empty, j_tar, cfg, t=1.0, grid=self.GRID)
         # step 2 still pulls target columns toward their minima
         j = sorted(j_tar.indices)[0]
-        assert not np.array_equal(out.logits[:, j], maps.logits[:, j])
+        assert not np.array_equal(out[:, j], logits[:, j])
+
+    def test_mask_voxel_count_must_match_logit_rows(self):
+        logits, _, j_tar = random_case(RngStream(10), 6, 3)
+        mask = mask_from([1, 0] * 4, dims=(2, 2, 2))
+        with pytest.raises(ShapeMismatchError, match="mask has 8 voxels but .* has 6 rows"):
+            apply_sar(logits, mask, j_tar, SarConfig(), t=1.0, grid=self.GRID)
 
 
 class TestInvariants:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b1=st.floats(0, 1))
     def test_step1_range_preservation(self, seed, b1):
-        maps, mask, j_tar = random_case(RngStream(seed), 9, 5)
-        out = text_token_modulation(maps, mask, j_tar, b1)
-        lo = maps.logits.min(axis=1, keepdims=True)
-        hi = maps.logits.max(axis=1, keepdims=True)
+        logits, rows, tar = random_pass_case(RngStream(seed), 9, 5)
+        out = text_token_modulation(logits, rows, tar, b1)
+        lo = logits.min(axis=1, keepdims=True)
+        hi = logits.max(axis=1, keepdims=True)
         eps = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
-        assert (out.logits >= lo - eps).all() and (out.logits <= hi + eps).all()
+        assert (out >= lo - eps).all() and (out <= hi + eps).all()
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b2=st.floats(0, 1))
     def test_step2_range_preservation(self, seed, b2):
-        maps, mask, j_tar = random_case(RngStream(seed), 9, 5)
-        out = spatiotemporal_modulation(maps, mask, j_tar, b2)
-        for j in sorted(j_tar.indices):
-            col = maps.logits[:, j]
+        logits, rows, tar = random_pass_case(RngStream(seed), 9, 5)
+        out = spatiotemporal_modulation(logits, rows, tar, b2)
+        for j in np.flatnonzero(tar):
+            col = logits[:, j]
             eps = 4 * np.spacing(max(abs(col.min()), abs(col.max())))
-            assert (out.logits[:, j] >= col.min() - eps).all()
-            assert (out.logits[:, j] <= col.max() + eps).all()
+            assert (out[:, j] >= col.min() - eps).all()
+            assert (out[:, j] <= col.max() + eps).all()
 
     def test_step1_contrast_monotonicity(self):
         rng = RngStream(11)
         for _ in range(50):
-            maps, mask, j_tar = random_case(rng, 8, 5)
-            out = text_token_modulation(maps, mask, j_tar, 0.4)
-            rows = mask.flat()
-            tar = sorted(j_tar.indices)[0]
-            non = next(j for j in range(5) if j not in j_tar.indices)
+            logits, rows, tar_cols = random_pass_case(rng, 8, 5)
+            out = text_token_modulation(logits, rows, tar_cols, 0.4)
+            tar = np.flatnonzero(tar_cols)[0]
+            non = np.flatnonzero(~tar_cols)[0]
             for i in np.nonzero(rows)[0]:
-                before = maps.logits[i, tar] - maps.logits[i, non]
-                after = out.logits[i, tar] - out.logits[i, non]
+                before = logits[i, tar] - logits[i, non]
+                after = out[i, tar] - out[i, non]
                 assert after >= before - 1e-12
 
     def test_locality(self):
-        maps, mask, j_tar = random_case(RngStream(12), 10, 5)
+        logits, mask, j_tar = random_case(RngStream(12), 10, 5)
         cfg = SarConfig(beta1=0.8, beta2=0.8)
-        out = apply_sar(maps, mask, j_tar, cfg, t=1.0, grid=TimeGrid.uniform(4))
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=TimeGrid.uniform(4))
         rows = mask.flat()
         non_target = ~j_tar.column_selector(5)
-        untouched = out.logits[np.ix_(~rows, non_target)]
-        assert np.array_equal(untouched, maps.logits[np.ix_(~rows, non_target)])
+        untouched = out[np.ix_(~rows, non_target)]
+        assert np.array_equal(untouched, logits[np.ix_(~rows, non_target)])
 
     def test_step1_monotone_in_entry(self):
         # raising an interior entry (extrema fixed) never lowers its output
-        base = maps_from([[0.0, 0.4, 1.0]])
-        bumped = maps_from([[0.0, 0.5, 1.0]])
-        mask, j_tar = mask_from([1]), TargetTokenSet.of(1)
-        lo = text_token_modulation(base, mask, j_tar, 0.7).logits[0, 1]
-        hi = text_token_modulation(bumped, mask, j_tar, 0.7).logits[0, 1]
+        base = logits_from([[0.0, 0.4, 1.0]])
+        bumped = logits_from([[0.0, 0.5, 1.0]])
+        rows, tar = np.array([True]), np.array([False, True, False])
+        lo = text_token_modulation(base, rows, tar, 0.7)[0, 1]
+        hi = text_token_modulation(bumped, rows, tar, 0.7)[0, 1]
         assert hi >= lo
 
     def test_softmax_of_modulated_logits_is_probability(self):
         from flowsteer.backends import _softmax_rows
 
-        maps, mask, j_tar = random_case(RngStream(13), 12, 6)
+        logits, mask, j_tar = random_case(RngStream(13), 12, 6)
         out = apply_sar(
-            maps, mask, j_tar, SarConfig(beta1=0.9, beta2=0.9), t=1.0,
+            logits, mask, j_tar, SarConfig(beta1=0.9, beta2=0.9), t=1.0,
             grid=TimeGrid.uniform(4),
         )
-        probs = _softmax_rows(out.logits)
+        probs = _softmax_rows(out)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
