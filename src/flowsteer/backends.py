@@ -168,8 +168,11 @@ def gaussian_velocity(state: np.ndarray, t: float, cond: GaussianCondition) -> n
     mu = cond.channel_mean(state.shape[1])
     s2 = cond.scale * cond.scale
     denom = (1.0 - t) * (1.0 - t) * s2 + t * t
-    r = (state - (1.0 - t) * mu) / denom
-    return (t - (1.0 - t) * s2) * r - mu
+    r = state - (1.0 - t) * mu
+    r /= denom
+    r *= t - (1.0 - t) * s2
+    r -= mu
+    return r
 
 
 @lru_cache(maxsize=8)

@@ -80,7 +80,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     source_path = run_dir / "source.fatn"
     edited_path = Path(spec.metrics.edited) if spec.metrics.edited else run_dir / "result.fatn"
     if not source_path.exists() or not edited_path.exists():
-        print(f"missing artifacts under {run_dir}; run `flowsteer edit` first", file=sys.stderr)
+        print(
+            f"error: missing artifacts under {run_dir}; run `flowsteer edit` first",
+            file=sys.stderr,
+        )
         return 2
     source = load_tensor(source_path)
     result = load_tensor(edited_path)

@@ -38,16 +38,23 @@ Conventions fixed here and relied on by every other module:
   ``SPLIT_SALT = 0xD6E8FEB86659FD93``.
   Because draw ``k`` depends only on ``(seed, k)``, a normals draw is
   computed in fixed chunks of counter positions, and a draw of several
-  chunks spreads them over threads; the values do not depend on the chunk
-  size or the number of threads. A stream's ``counter`` is unguarded, so
-  one stream object must not be used by two callers at once.
+  chunks spreads them over the calling thread and the threads of ``POOL``,
+  one persistent pool of one thread per usable CPU. A draw issued from a
+  ``POOL`` thread runs all its chunks on that thread, so no pool task ever
+  waits for another. Each Box-Muller value is computed in float64 and
+  written straight into an output of the caller's dtype, rounding once, as
+  a cast would. The values do not depend on the chunk size, the number of
+  threads or the thread a draw runs on. The editing loop uses ``POOL`` too,
+  to draw the next step's noise while a step computes (see ``engine``). A
+  stream's ``counter`` is unguarded, so one stream object must not be used
+  by two callers at once.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,26 +267,29 @@ def _fill_chunk(
     np.multiply(radius, angle, out=out[2 * lo + 1 : 2 * hi : 2])
 
 
-def _mapped_float64(count: int) -> np.ndarray:
-    """Writable float64 array in its own private anonymous mapping, outside the malloc heap.
-
-    A multi-chunk draw's result is usually cast and dropped at once. Freeing
-    it unmaps it; a hole of its size in the heap would stay resident and be
-    split by later allocations, so the process's peak memory would depend on
-    the order of earlier allocations. Like numpy's own large allocations, the
-    mapping asks for huge pages where the platform has them.
-    """
-    buf = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+# Shared by every multi-chunk draw and by the editing loop's draws ahead.
+# A task on it never waits for another task on it: a draw issued from one
+# of its threads computes every chunk itself.
+POOL = ThreadPoolExecutor(_usable_cpus(), "flowsteer", initializer=_mark_pool_thread)
+
+
+def draw_spans_chunks(n: int) -> bool:
+    """Whether a draw of ``n`` normals spans more than one chunk, and so uses ``POOL``."""
+    return (n + 1) // 2 > _CHUNK_PAIRS
 
 
 @dataclass
@@ -292,9 +302,10 @@ class RngStream:
     once: each draw reads ``counter`` and then advances it.
 
     ``normals`` computes a draw in fixed chunks of ``_CHUNK_PAIRS`` counter
-    pairs. A draw of more than one chunk spreads its chunks over up to one
-    thread per usable CPU; the values do not depend on the chunk size or the
-    number of threads.
+    pairs. A draw of more than one chunk hands its chunks out to the calling
+    thread and up to one ``POOL`` thread per further usable CPU, unless it
+    runs on a ``POOL`` thread itself; the values do not depend on the chunk
+    size or on which thread computes which chunk.
     """
 
     seed: int
@@ -313,30 +324,45 @@ class RngStream:
         """n float64 values in [0, 1)."""
         return np.asarray(self._raw(n) >> _SHIFT_11, dtype=np.float64) * _U53_SCALE
 
-    def normals(self, n: int) -> np.ndarray:
-        """n float64 standard normals via Box-Muller; consumes 2*ceil(n/2) draws.
+    def normals(self, n: int, dtype=np.float64) -> np.ndarray:
+        """n standard normals via Box-Muller, as ``dtype``; consumes 2*ceil(n/2) draws.
 
+        Each value is computed in float64 and rounded once into ``dtype``, so
+        a float32 draw equals ``normals(n).astype(np.float32)`` bit for bit.
         The counter advances only once every chunk has been written; an error
-        in any chunk propagates and leaves the stream unchanged.
+        in any chunk propagates, after every chunk in flight has finished, and
+        leaves the stream unchanged.
         """
         pairs = (n + 1) // 2
         starts = range(0, pairs, _CHUNK_PAIRS)
-        out = _mapped_float64(2 * pairs) if len(starts) > 1 else np.empty(2 * pairs)
+        out = np.empty(2 * pairs, dtype=dtype)
         ramp = _gamma_ramp(2 * min(pairs, _CHUNK_PAIRS))
-        workers = 1 if len(starts) <= 1 else min(len(starts), _usable_cpus())
-        # Allocated here, not in the workers, so no thread's malloc arena keeps it.
+        inline = not draw_spans_chunks(n) or getattr(_pool_thread, "active", False)
+        workers = 1 if inline else min(len(starts), _usable_cpus())
+        # Allocated here, not in the helpers, so no pool thread's malloc arena keeps it.
         scratch = np.empty((workers, 2, len(ramp)), dtype=np.uint64)
+        todo = iter(starts)
+        lock = threading.Lock()
 
         def fill(worker: int) -> None:
-            for lo in starts[worker::workers]:
+            while True:
+                with lock:
+                    lo = next(todo, None)
+                if lo is None:
+                    return
                 hi = min(lo + _CHUNK_PAIRS, pairs)
                 _fill_chunk(out, self.seed, self.counter, lo, hi, ramp, scratch[worker])
 
-        if workers == 1:
+        helpers = [POOL.submit(fill, worker) for worker in range(1, workers)]
+        try:
             fill(0)
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                list(pool.map(fill, range(workers)))
+        finally:
+            # Helpers that never started are dropped; the others are waited for,
+            # so no thread writes into ``out`` once the draw returns or raises.
+            errors = [f.exception() for f in helpers if not f.cancel()]
+        for error in errors:
+            if error is not None:
+                raise error
         self.counter += 2 * pairs
         return out[:n]
 
@@ -359,7 +385,7 @@ def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> np.ndarray:
     if len(dims) != 5 or any(d < 1 for d in dims):
         raise ShapeMismatchError(f"dims must be 5 positive integers, got {dims}")
     n = int(np.prod(dims))
-    return rng.normals(n).astype(np.float32).reshape(dims)
+    return rng.normals(n, np.float32).reshape(dims)
 
 
 def clamp_time(t: float) -> float:

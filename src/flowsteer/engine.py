@@ -24,11 +24,18 @@ errors, such as a target token index out of range, propagate unchanged.
 Determinism and attribution: the run seed spawns one substream per step
 index, so a step's noise depends only on (seed, step index, draw index).
 Skipping more initial steps therefore changes the outcome only through the
-removed intervals, never by shifting noise onto different steps. Coupling
-is computed difference-first, ``(z_edit - x_src) + z_src``, which keeps the
-coupled state exactly on the pseudo-source path while the trajectory still
-sits at the source; with identical source and target conditions the whole
-run is then a bitwise fixed point.
+removed intervals, never by shifting noise onto different steps. The same
+property lets a run draw one step ahead: when one draw spans more than one
+RNG chunk, step k+1's draws are submitted to ``core.POOL`` as step k starts
+and run there while step k computes, and step k frees its arrays at its
+end, so the draw in flight does not raise peak memory. Smaller draws run on
+the calling thread, just before their step. Neither path changes a value,
+and neither does the step arithmetic done in place, which repeats the same
+IEEE operations in the same order. Coupling is computed difference-first,
+``(z_edit - x_src) + z_src``, which keeps the coupled state exactly on the
+pseudo-source path while the trajectory still sits at the source; with
+identical source and target conditions the whole run is then a bitwise
+fixed point.
 """
 
 from __future__ import annotations
@@ -40,7 +47,16 @@ import numpy as np
 
 from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import BackendRegistry, VelocityQuery
-from .core import EditMask, RngStream, TimeGrid, VideoLatent, interpolate_source, sample_gaussian
+from .core import (
+    POOL,
+    EditMask,
+    RngStream,
+    TimeGrid,
+    VideoLatent,
+    draw_spans_chunks,
+    interpolate_source,
+    sample_gaussian,
+)
 from .diagnostics import binarize_signal, iou, magnitude_stats
 from .errors import NonFiniteStateError, ShapeMismatchError
 from .sar import SarConfig, TargetTokenSet, apply_sar
@@ -125,28 +141,35 @@ def editing_signal(
     t: float,
     cfg: EditConfig,
     backend: BackendRegistry,
-    rng: RngStream,
+    noises: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Average of v_target(z_tar) - v_source(z_src) over n_avg noise draws.
+    """Average of v_target(z_tar) - v_source(z_src) over the ``cfg.n_avg`` noise draws.
 
+    ``noises`` holds the draws in order and is emptied as they are used.
     Returns ``(dv, noise, z_src, z_tar)``: the mean signal and the first
-    draw's noise and states. The states are None unless
-    ``cfg.record_states`` is set. The refinement hook is installed on the
-    target evaluation only; the source velocity sees raw attention. Draws
-    accumulate in a fixed sequential order so the mean is reproducible.
+    draw's noise and states. The states are None unless ``cfg.record_states``
+    is set. The refinement hook is installed on the target evaluation only;
+    the source velocity sees raw attention. Draws accumulate in a fixed
+    sequential order so the mean is reproducible.
     """
     hook = _sar_hook(cfg, t)
     acc = np.zeros(x_src.shape, dtype=np.float32)
     for draw in range(cfg.n_avg):
-        noise = sample_gaussian(rng, x_src.shape)
+        noise = noises.pop(0)
         z_src = interpolate_source(x_src, noise, t)
         z_tar = couple_target(z_edit, z_src, x_src)
         v_tar = backend.velocity(VelocityQuery(z_tar, t, "target", attention_hook=hook))
         v_src = backend.velocity(VelocityQuery(z_src, t, "source"))
-        acc += v_tar - v_src
+        v_tar -= v_src
+        acc += v_tar
         if draw == 0:
             first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
     return (acc / np.float32(cfg.n_avg), *first)
+
+
+def _draw_noise(rng: RngStream, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
+    """One step's ``count`` float32 standard-normal draws of ``shape``, in draw order."""
+    return [sample_gaussian(rng, shape) for _ in range(count)]
 
 
 def _signal_stats(dv: np.ndarray, cfg: EditConfig) -> tuple[float, tuple[float, ...], float]:
@@ -169,6 +192,10 @@ def run_edit(
 
     The state is checked for finiteness once per step, before the baseline
     blend; a non-finite state raises NonFiniteStateError naming the step.
+    A step's draws come from the run's substream of its index, drawn on the
+    calling thread or, for draws of several RNG chunks, one step ahead on
+    ``core.POOL``; the run returns or raises only once none of its draws is
+    running.
     """
     if cfg.mask.shape != x_src.data.shape[2:]:
         raise ShapeMismatchError(
@@ -179,33 +206,54 @@ def run_edit(
     report = EditReport(seed=cfg.seed, frames=frames, gain=gain)
     run_rng = RngStream(cfg.seed)
     x = z_edit = x_src.data
-    for index, t, t_next in cfg.grid.intervals():
-        dv, noise, z_src, z_tar = editing_signal(
-            z_edit, x, t, cfg, backend, run_rng.substream(index)
-        )
-        contrast = contrast_map(dv, cfg.amm.epsilon)
-        dv_amm = amplify(dv, contrast, gain)
-        z_next = z_edit + (t_next - t) * dv_amm
-        if not np.isfinite(z_next).all():
-            raise NonFiniteStateError(index, "latent entries must be finite")
-        if cfg.baseline_blend:
-            z_next = blend_baseline(z_next, interpolate_source(x, noise, t_next), cfg.mask)
-        mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg)
-        mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg)
-        record = StepRecord(
-            index=index,
-            t=t,
-            dt=t_next - t,
-            mean_abs=mean_abs,
-            mean_abs_amm=mean_abs_amm,
-            per_frame_mean_abs=per_frame,
-            iou=iou_dv,
-            iou_amm=iou_amm,
-            contrast=contrast if cfg.record_contrast else None,
-            z_src=z_src,
-            z_tar=z_tar,
-            z_edit_before=z_edit if cfg.record_states else None,
-        )
-        report.steps.append(record)
-        z_edit = z_next
+    steps = list(cfg.grid.intervals())
+    draw_ahead = draw_spans_chunks(x.size)
+    ahead = None  # future of the next step's draws
+    try:
+        for k, (index, t, t_next) in enumerate(steps):
+            if ahead is None:
+                noises = _draw_noise(run_rng.substream(index), x.shape, cfg.n_avg)
+            else:
+                noises = ahead.result()
+                ahead = None
+            if draw_ahead and k + 1 < len(steps):
+                rng = run_rng.substream(steps[k + 1][0])
+                ahead = POOL.submit(_draw_noise, rng, x.shape, cfg.n_avg)
+            dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises)
+            contrast = contrast_map(dv, cfg.amm.epsilon)
+            dv_amm = amplify(dv, contrast, gain)
+            z_next = dv_amm * (t_next - t)
+            z_next += z_edit
+            if not np.isfinite(z_next).all():
+                raise NonFiniteStateError(index, "latent entries must be finite")
+            if cfg.baseline_blend:
+                z_next = blend_baseline(z_next, interpolate_source(x, noise, t_next), cfg.mask)
+            mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg)
+            mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg)
+            record = StepRecord(
+                index=index,
+                t=t,
+                dt=t_next - t,
+                mean_abs=mean_abs,
+                mean_abs_amm=mean_abs_amm,
+                per_frame_mean_abs=per_frame,
+                iou=iou_dv,
+                iou_amm=iou_amm,
+                contrast=contrast if cfg.record_contrast else None,
+                z_src=z_src,
+                z_tar=z_tar,
+                z_edit_before=z_edit if cfg.record_states else None,
+            )
+            report.steps.append(record)
+            z_edit = z_next
+            if draw_ahead:
+                # The next step's latent-size draws are in flight: free this step's
+                # arrays now. Inline steps free them as the next step rebinds them,
+                # which measured a fraction of the page faults at toy size.
+                del dv, noise, contrast, dv_amm
+    finally:
+        # An edit that raises returns only once its draw ahead is cancelled or
+        # done; that draw's own error, if any, gives way to the edit's.
+        if ahead is not None and not ahead.cancel():
+            ahead.exception()
     return VideoLatent(z_edit), report

@@ -1,10 +1,13 @@
+import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsteer import EditMask, RngStream, TimeGrid, VideoLatent
+from flowsteer import EditMask, RngStream, TimeGrid, VideoLatent, sample_gaussian
+from flowsteer import core, engine
 from flowsteer.amm import AmmConfig
 from flowsteer.backends import BackendRegistry, GaussianCondition, make_toy_condition_pair
 from flowsteer.engine import (
@@ -55,19 +58,6 @@ def make_cfg(
     )
 
 
-class FixedRng:
-    """Stand-in stream that replays one fixed normal sequence every call."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.counter = 0
-
-    def normals(self, n):
-        assert n == self.values.size
-        self.counter += n
-        return self.values.copy()
-
-
 class TestCoupleTarget:
     def test_at_source_returns_pseudo_source_exactly(self, make_latent):
         x = make_latent()
@@ -115,15 +105,16 @@ class TestEditingSignal:
         reg = gaussian_registry(0.4, 0.4)
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
         x = make_latent()
-        dv = editing_signal(x.data, x.data, 0.8, cfg, reg, RngStream(1))[0]
+        noise = sample_gaussian(RngStream(1), DIMS)
+        dv = editing_signal(x.data, x.data, 0.8, cfg, reg, [noise])[0]
         assert np.array_equal(dv, np.zeros(DIMS, dtype=np.float32))
 
     def test_two_equal_draws_match_single_draw(self, make_latent):
         reg = gaussian_registry(0.0, 1.0)
         x = make_latent()
-        noise = RngStream(3).normals(int(np.prod(DIMS)))
-        one = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=1), reg, FixedRng(noise))[0]
-        two = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=2), reg, FixedRng(noise))[0]
+        noise = sample_gaussian(RngStream(3), DIMS)
+        one = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=1), reg, [noise])[0]
+        two = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=2), reg, [noise, noise])[0]
         assert np.array_equal(one, two)
 
     def test_gaussian_signal_matches_scalar_derivation(self):
@@ -135,7 +126,8 @@ class TestEditingSignal:
         z_edit = random_latent(rng, DIMS)
         noise = RngStream(11).normals(int(np.prod(DIMS)))
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
-        dv = editing_signal(z_edit.data, x.data, t, cfg, reg, FixedRng(noise))[0]
+        draw = noise.astype(np.float32).reshape(DIMS)
+        dv = editing_signal(z_edit.data, x.data, t, cfg, reg, [draw])[0]
 
         def scalar_v(z, mu):
             denom = (1 - t) ** 2 * s**2 + t**2
@@ -332,6 +324,116 @@ class TestRunEdit:
         with pytest.raises(ValueError, match="index 9 out of range") as err:
             run_edit(make_latent(), cfg, reg)
         assert not isinstance(err.value, NonFiniteStateError)
+
+
+def _report_bytes(report):
+    """Every field of every step record, arrays as bytes, for exact comparison."""
+    rows = []
+    for rec in report.steps:
+        rows.append(
+            {
+                name: value.tobytes() if isinstance(value, np.ndarray) else value
+                for name, value in vars(rec).items()
+            }
+        )
+    return (report.seed, report.frames, report.gain, rows)
+
+
+class TestDrawAhead:
+    """With chunks shrunk so that desk-size draws span several, run_edit draws
+    each next step's noise on the pool; the values must not change."""
+
+    @staticmethod
+    def _force_multi_chunk(monkeypatch):
+        """Shrink the RNG chunks; returns the list of functions run_edit submits."""
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
+        submitted = []
+        pool = engine.POOL
+
+        class CountingPool:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(engine, "POOL", CountingPool())
+        return submitted
+
+    def _blend_cfg(self):
+        bits = np.zeros(DIMS[2:], dtype=np.uint8)
+        bits[:, 1:3, :] = 1
+        return make_cfg(
+            grid=TimeGrid.uniform(8, skip=3),
+            mask=EditMask(bits),
+            seed=21,
+            n_avg=2,
+            baseline_blend=True,
+            record_states=True,
+            record_contrast=True,
+        )
+
+    @pytest.mark.parametrize("backend", ["gaussian", "toy"])
+    def test_matches_inline_path_exactly(self, make_latent, monkeypatch, backend):
+        if backend == "gaussian":
+            reg = gaussian_registry(0.0, 1.0)
+            cfg = self._blend_cfg()
+        else:
+            j_tar = TargetTokenSet.of(1)
+            src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
+            reg = BackendRegistry(src, tar)
+            cfg = replace(self._blend_cfg(), j_tar=j_tar)
+        x = make_latent()
+        assert not core.draw_spans_chunks(x.data.size)
+        inline_result, inline_report = run_edit(x, cfg, reg)
+
+        submitted = self._force_multi_chunk(monkeypatch)
+        ahead_result, ahead_report = run_edit(x, cfg, reg)
+        # steps 5..1 are active: the last four draw ahead, the first inline
+        assert submitted == [engine._draw_noise] * 4
+        assert ahead_result.data.tobytes() == inline_result.data.tobytes()
+        assert _report_bytes(ahead_report) == _report_bytes(inline_report)
+
+    def test_failure_mid_run_leaves_no_draw_running(self, make_latent, monkeypatch):
+        submitted = self._force_multi_chunk(monkeypatch)
+        draw = engine._draw_noise
+        started, running = [], []
+
+        def slow_draw(rng, shape, count):
+            started.append(rng.seed)
+            running.append(rng.seed)
+            try:
+                time.sleep(0.2)  # still drawing when the step before it fails
+                return draw(rng, shape, count)
+            finally:
+                running.remove(rng.seed)
+
+        monkeypatch.setattr(engine, "_draw_noise", slow_draw)
+
+        class PoisonedAt(BackendRegistry):
+            """Gaussian pair whose velocities turn non-finite below t = 0.45."""
+
+            def velocity(self, query):
+                vel = super().velocity(query)
+                if query.time > 0.45:
+                    return vel
+                time.sleep(0.05)  # lets the pool start the draw submitted for the next step
+                return np.full_like(vel, np.nan)
+
+        good = gaussian_registry(0.0, 1.0)
+        bad = PoisonedAt(good.source, good.target)
+        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=4), seed=8)
+        x = make_latent()
+        before, _ = run_edit(x, cfg, good)
+        for _ in range(2):
+            started.clear()
+            submitted.clear()
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
+                run_edit(x, cfg, bad)
+            # steps 6 and 5 pass; step 4 (t = 0.4) fails while step 3's draw runs
+            assert err.value.step_index == 4
+            assert len(submitted) == 3 and len(started) == 4
+            assert not running
+        after, _ = run_edit(x, cfg, good)
+        assert after.data.tobytes() == before.data.tobytes()
 
 
 class TestTraceSeam:

@@ -1,8 +1,11 @@
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from flowsteer import core
 from flowsteer.cli import main as cli_main
 from flowsteer.config import parse_config_text, with_out_dir, with_seed
 from flowsteer.core import read_fatn
@@ -76,6 +79,31 @@ class TestRunBatch:
             assert (outcomes[0].out_dir / name).read_bytes() == (
                 outcomes[1].out_dir / name
             ).read_bytes()
+
+    def test_multi_chunk_draws_on_two_workers_match_one(self, tmp_path, monkeypatch):
+        # every draw spans several RNG chunks, so both runs' draws, chunk helpers
+        # and next-step draws share one pool; a pool task waiting on another
+        # would hang here instead of finishing
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+
+        def batch(workers):
+            base = spec_in(SHIFT_EDIT, tmp_path)
+            specs = [with_seed(base, seed) for seed in (3, 4, 5, 6)]
+            specs = [replace(s, io=replace(s.io, scenario=f"s{s.io.seed}")) for s in specs]
+            done = []
+            thread = threading.Thread(target=lambda: done.append(run_batch(specs, workers)))
+            thread.start()
+            thread.join(timeout=120)
+            assert not thread.is_alive(), f"run_batch(workers={workers}) did not finish"
+            status, outcomes = done[0]
+            assert status == 0
+            return [
+                {name: (o.out_dir / name).read_bytes() for name in ("result.fatn", "report.json")}
+                for o in outcomes
+            ]
+
+        assert batch(2) == batch(1)
 
     @pytest.mark.parametrize("other_out", ["out", "out/../out", "./x/../out"])
     def test_duplicate_run_directory_rejected_before_any_run(self, tmp_path, other_out):
@@ -231,6 +259,13 @@ class TestCli:
         assert cli_main([argv[0], str(utf16), *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(utf16) in err
+
+    def test_metrics_without_run_artifacts_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SHIFT_EDIT + f"\nout_dir = {tmp_path / 'none'}\n", encoding="utf-8")
+        assert cli_main(["metrics", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: missing artifacts under ") and "shift" in err
 
     @pytest.mark.parametrize("frames", ["1,x", "", " , "])
     def test_bad_frames_exit_code(self, tmp_path, capsys, frames):

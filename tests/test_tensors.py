@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,13 +172,75 @@ class TestChunkedNormals:
 
     def test_single_chunk_draw_runs_inline(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a one-chunk draw must not start threads or query CPUs")
+            raise AssertionError("a one-chunk draw must not use the pool or query CPUs")
 
-        monkeypatch.setattr(core, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(core, "POOL", SimpleNamespace(submit=forbidden))
         monkeypatch.setattr(core, "_usable_cpus", forbidden)
         rng = RngStream(1)
         assert rng.normals(2 * _CHUNK).tobytes() == _oracle_normals(1, 0, 2 * _CHUNK).tobytes()
         assert rng.uniforms(3 * _CHUNK).shape == (3 * _CHUNK,)
+
+
+class TestFloat32Normals:
+    """A float32 draw rounds each float64 Box-Muller value once, exactly as a cast does."""
+
+    @staticmethod
+    def _check(seed, counter, n):
+        rng = RngStream(seed, counter)
+        got = rng.normals(n, np.float32)
+        assert got.dtype == np.float32 and got.shape == (n,)
+        want = RngStream(seed, counter).normals(n).astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+        assert rng.counter == counter + 2 * math.ceil(n / 2)
+
+    @pytest.mark.parametrize("n", [1, 7, 257, 2 * _CHUNK + 1])
+    def test_odd_length(self, n):
+        self._check(2**63 + 5, 3, n)
+
+    def test_one_chunk(self):
+        self._check(4, 0, 2 * _CHUNK)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_several_chunks(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(core, "_CHUNK_PAIRS", chunk)
+        n = 7 * (chunk or _CHUNK) + 2
+        assert core.draw_spans_chunks(n)
+        self._check(9, 1, n)
+
+    def test_draw_on_a_pool_thread_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        threads = set()
+        fill = core._fill_chunk
+
+        def recording_fill(*args):
+            threads.add(threading.get_ident())
+            fill(*args)
+
+        monkeypatch.setattr(core, "_fill_chunk", recording_fill)
+        pool = core.POOL
+        helpers = []
+
+        class SpyPool:
+            def submit(self, fn, *args):
+                helpers.append(fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(core, "POOL", SpyPool())
+
+        def draw():
+            return threading.get_ident(), RngStream(6, 2).normals(101, np.float32)
+
+        ident, got = pool.submit(draw).result(timeout=60)
+        assert helpers == [] and threads == {ident}
+        assert got.tobytes() == RngStream(6, 2).normals(101).astype(np.float32).tobytes()
+
+    def test_sample_gaussian_is_the_float32_draw(self):
+        dims = (1, 2, 3, 5, 7)
+        got = sample_gaussian(RngStream(3).substream(4), dims)
+        want = RngStream(3).substream(4).normals(210).astype(np.float32).reshape(dims)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
 class TestInterpolate:
