@@ -57,9 +57,12 @@ def contrast_map(dv: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     return (mean - lo) / (hi - lo + np.float32(eps))
 
 
-def amplify(dv: np.ndarray, contrast: np.ndarray, gain: float) -> np.ndarray:
-    """(1 + gain * contrast) * dv with the contrast broadcast over channels."""
+def amplify(
+    dv: np.ndarray, contrast: np.ndarray, gain: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(1 + gain * contrast) * dv with the contrast broadcast over channels,
+    written into ``out`` when given."""
     if gain < 0.0:
         raise ValueError(f"gain must be >= 0, got {gain}")
     factor = 1.0 + np.float32(gain) * contrast
-    return factor * dv
+    return np.multiply(factor, dv, out=out)

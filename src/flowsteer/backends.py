@@ -139,12 +139,15 @@ def make_toy_condition_pair(
 @dataclass(frozen=True)
 class VelocityQuery:
     """Arguments of one conditional velocity evaluation; ``state`` is a float32
-    (B, C, F, H, W) array."""
+    (B, C, F, H, W) array. A field that computes elementwise writes the
+    velocity into ``out`` when given, which may be ``state`` itself; the toy
+    field ignores it and returns a new array."""
 
     state: np.ndarray
     time: float
     condition: str  # the role, "source" or "target"
     attention_hook: Optional[AttentionHook] = None
+    out: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.condition not in ("source", "target"):
@@ -152,7 +155,9 @@ class VelocityQuery:
         object.__setattr__(self, "time", clamp_time(self.time))
 
 
-def gaussian_velocity(state: np.ndarray, t: float, cond: GaussianCondition) -> np.ndarray:
+def gaussian_velocity(
+    state: np.ndarray, t: float, cond: GaussianCondition, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Closed-form velocity of the straight path between data and noise.
 
     With X ~ N(mu, s^2 I), N ~ N(0, I) and Z_t = (1 - t) X + t N, the field
@@ -162,13 +167,14 @@ def gaussian_velocity(state: np.ndarray, t: float, cond: GaussianCondition) -> n
         velocity = (t - (1 - t) s^2) r(z) - mu.
 
     The denominator (1-t)^2 s^2 + t^2 is positive for every t in [0, 1]
-    when s > 0, so no special-casing is needed anywhere on the grid.
+    when s > 0, so no special-casing is needed anywhere on the grid. The
+    result is written into ``out`` when given, which may be ``state``.
     """
     t = clamp_time(t)
     mu = cond.channel_mean(state.shape[1])
     s2 = cond.scale * cond.scale
     denom = (1.0 - t) * (1.0 - t) * s2 + t * t
-    r = state - (1.0 - t) * mu
+    r = np.subtract(state, (1.0 - t) * mu, out=out)
     r /= denom
     r *= t - (1.0 - t) * s2
     r -= mu
@@ -257,5 +263,5 @@ class BackendRegistry:
         """Dispatch a query; attention maps are empty for map-free backends."""
         cond = self.source if query.condition == "source" else self.target
         if isinstance(cond, GaussianCondition):
-            return gaussian_velocity(query.state, query.time, cond), []
+            return gaussian_velocity(query.state, query.time, cond, query.out), []
         return toy_attention_velocity(query.state, query.time, cond, hook=query.attention_hook)

@@ -38,16 +38,18 @@ Conventions fixed here and relied on by every other module:
   ``SPLIT_SALT = 0xD6E8FEB86659FD93``.
   Because draw ``k`` depends only on ``(seed, k)``, a normals draw is
   computed in fixed chunks of counter positions, and a draw of several
-  chunks spreads them over the calling thread and the threads of ``POOL``,
-  one persistent pool of one thread per usable CPU. A draw issued from a
-  ``POOL`` thread runs all its chunks on that thread, so no pool task ever
-  waits for another. Each Box-Muller value is computed in float64 and
-  written straight into an output of the caller's dtype, rounding once, as
-  a cast would. The values do not depend on the chunk size, the number of
-  threads or the thread a draw runs on. The editing loop uses ``POOL`` too,
-  to draw the next step's noise while a step computes (see ``engine``). A
-  stream's ``counter`` is unguarded, so one stream object must not be used
-  by two callers at once.
+  chunks spreads them over helpers on ``POOL``, one persistent pool of one
+  thread per usable CPU, and the thread that joins the draw. A draw may be
+  started ahead (``RngStream.start_normals``): its helpers begin at once,
+  and the ``normals`` call that joins it fills whatever chunks are left,
+  so the editing loop starts the next step's noise while a step computes
+  (see ``engine``). A draw started on a ``POOL`` thread submits no helper,
+  so no pool task ever waits for another. Each Box-Muller value is
+  computed in float64 and written straight into an output of the caller's
+  dtype, rounding once, as a cast would. The values do not depend on the
+  chunk size, the number of threads, when a draw starts or the thread a
+  chunk runs on. A stream's ``counter`` is unguarded, so one stream object
+  must not be used by two callers at once.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -244,7 +246,8 @@ def _fill_chunk(
     scratch: np.ndarray,
 ) -> None:
     """Box-Muller pairs ``lo .. hi-1`` of a normals draw starting at ``counter``, written to
-    ``out[2*lo : 2*hi]``. ``scratch`` is a (2, >= 2 * (hi - lo)) uint64 array owned by the caller.
+    ``out[2*lo : 2*hi]``, or up to its end. ``scratch`` is a (2, >= 2 * (hi - lo)) uint64 array
+    owned by the caller.
 
     Every transcendental runs on a contiguous float64 array, as in a one-shot draw.
     """
@@ -264,7 +267,8 @@ def _fill_chunk(
     np.cos(angle, out=trig)
     np.multiply(radius, trig, out=out[2 * lo : 2 * hi : 2])
     np.sin(angle, out=angle)
-    np.multiply(radius, angle, out=out[2 * lo + 1 : 2 * hi : 2])
+    odd = out[2 * lo + 1 : 2 * hi : 2]  # one short when ``out`` has odd length
+    np.multiply(radius[: len(odd)], angle[: len(odd)], out=odd)
 
 
 def _usable_cpus() -> int:
@@ -281,9 +285,8 @@ def _mark_pool_thread() -> None:
     _pool_thread.active = True
 
 
-# Shared by every multi-chunk draw and by the editing loop's draws ahead.
-# A task on it never waits for another task on it: a draw issued from one
-# of its threads computes every chunk itself.
+# Shared by every multi-chunk draw. A task on it never waits for another task
+# on it: a draw started on one of its threads submits no helper.
 POOL = ThreadPoolExecutor(_usable_cpus(), "flowsteer", initializer=_mark_pool_thread)
 
 
@@ -292,24 +295,93 @@ def draw_spans_chunks(n: int) -> bool:
     return (n + 1) // 2 > _CHUNK_PAIRS
 
 
+class _Draw:
+    """One normals draw, whose chunks go to whichever thread asks next: the
+    ``POOL`` helpers submitted when it starts, and the thread that joins it."""
+
+    def __init__(self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None):
+        self.seed, self.counter, self.n, self.dtype = seed, counter, n, np.dtype(dtype)
+        if out is None:
+            out = np.empty(n, dtype=self.dtype)
+        elif out.shape != (n,) or out.dtype != self.dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous ({n},) {self.dtype} array")
+        self.out = out
+        self.pairs = (n + 1) // 2
+        self.end = counter + 2 * self.pairs
+        starts = range(0, self.pairs, _CHUNK_PAIRS)
+        self._ramp = _gamma_ramp(2 * min(self.pairs, _CHUNK_PAIRS))
+        inline = not draw_spans_chunks(n) or getattr(_pool_thread, "active", False)
+        workers = 1 if inline else min(len(starts), _usable_cpus())
+        # Allocated here, not in the helpers, so no pool thread's malloc arena keeps it.
+        self._scratch = np.empty((workers, 2, len(self._ramp)), dtype=np.uint64)
+        self._todo = iter(starts)
+        self._lock = threading.Lock()
+        self._helpers = [POOL.submit(self._fill, worker) for worker in range(1, workers)]
+
+    def _fill(self, worker: int) -> None:
+        while True:
+            with self._lock:
+                lo = next(self._todo, None)
+            if lo is None:
+                return
+            hi = min(lo + _CHUNK_PAIRS, self.pairs)
+            scratch = self._scratch[worker]
+            try:
+                _fill_chunk(self.out, self.seed, self.counter, lo, hi, self._ramp, scratch)
+            except BaseException:
+                self._stop()
+                raise
+
+    def _stop(self) -> None:
+        """Hand out no further chunk."""
+        with self._lock:
+            self._todo = iter(())
+
+    def _settle(self) -> list[BaseException | None]:
+        """Drop the helpers that never started and wait for the others, so no
+        thread writes into ``out`` once this returns; their errors, in order."""
+        return [f.exception() for f in self._helpers if not f.cancel()]
+
+    def join(self) -> np.ndarray:
+        """Fill every chunk no helper has taken, then return ``out`` or raise
+        the first helper error."""
+        try:
+            self._fill(0)
+        finally:
+            errors = self._settle()
+        for error in errors:
+            if error is not None:
+                raise error
+        return self.out
+
+    def cancel(self) -> None:
+        """Stop the draw; no helper writes once this returns."""
+        self._stop()
+        self._settle()
+
+
 @dataclass
 class RngStream:
     """Counter-based deterministic random stream (see module docstring).
 
-    The only mutable state is ``counter``; all draws are pure functions of
-    (seed, counter position), so distinct streams are safe to use from
-    distinct threads. One stream object must not be used by two callers at
-    once: each draw reads ``counter`` and then advances it.
+    The only mutable state is ``counter`` and the draws started ahead of it;
+    all draws are pure functions of (seed, counter position), so distinct
+    streams are safe to use from distinct threads. One stream object must
+    not be used by two callers at once: each draw reads ``counter`` and then
+    advances it.
 
     ``normals`` computes a draw in fixed chunks of ``_CHUNK_PAIRS`` counter
-    pairs. A draw of more than one chunk hands its chunks out to the calling
-    thread and up to one ``POOL`` thread per further usable CPU, unless it
-    runs on a ``POOL`` thread itself; the values do not depend on the chunk
-    size or on which thread computes which chunk.
+    pairs. A draw of more than one chunk hands its chunks out to up to one
+    ``POOL`` helper per further usable CPU, unless it starts on a ``POOL``
+    thread, and to the thread that joins it. ``start_normals`` submits the
+    helpers of a draw early, and the matching ``normals`` call joins it. The
+    values do not depend on the chunk size, on when a draw starts, or on
+    which thread computes which chunk.
     """
 
     seed: int
     counter: int = 0
+    _started: list[_Draw] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
@@ -324,47 +396,47 @@ class RngStream:
         """n float64 values in [0, 1)."""
         return np.asarray(self._raw(n) >> _SHIFT_11, dtype=np.float64) * _U53_SCALE
 
+    def start_normals(self, n: int, dtype=np.float64, out: np.ndarray | None = None) -> None:
+        """Start the draw that a later ``normals(n, dtype)`` call returns.
+
+        Its ``POOL`` helpers begin on its chunks now, and that call fills the
+        chunks they have not taken. Draws started one after another are the
+        stream's next draws, in order. ``out``, a contiguous 1-d array of
+        ``n`` elements of ``dtype``, receives the draw in place of a new array.
+        """
+        counter = self._started[-1].end if self._started else self.counter
+        self._started.append(_Draw(self.seed, counter, n, dtype, out))
+
     def normals(self, n: int, dtype=np.float64) -> np.ndarray:
         """n standard normals via Box-Muller, as ``dtype``; consumes 2*ceil(n/2) draws.
 
         Each value is computed in float64 and rounded once into ``dtype``, so
         a float32 draw equals ``normals(n).astype(np.float32)`` bit for bit.
-        The counter advances only once every chunk has been written; an error
-        in any chunk propagates, after every chunk in flight has finished, and
-        leaves the stream unchanged.
+        Joins the oldest started draw if it is this one; other started draws
+        are cancelled first. The counter advances only once every chunk has
+        been written; an error in any chunk propagates once no helper can
+        write, cancels the draws started after it, and leaves the counter
+        unchanged.
         """
-        pairs = (n + 1) // 2
-        starts = range(0, pairs, _CHUNK_PAIRS)
-        out = np.empty(2 * pairs, dtype=dtype)
-        ramp = _gamma_ramp(2 * min(pairs, _CHUNK_PAIRS))
-        inline = not draw_spans_chunks(n) or getattr(_pool_thread, "active", False)
-        workers = 1 if inline else min(len(starts), _usable_cpus())
-        # Allocated here, not in the helpers, so no pool thread's malloc arena keeps it.
-        scratch = np.empty((workers, 2, len(ramp)), dtype=np.uint64)
-        todo = iter(starts)
-        lock = threading.Lock()
-
-        def fill(worker: int) -> None:
-            while True:
-                with lock:
-                    lo = next(todo, None)
-                if lo is None:
-                    return
-                hi = min(lo + _CHUNK_PAIRS, pairs)
-                _fill_chunk(out, self.seed, self.counter, lo, hi, ramp, scratch[worker])
-
-        helpers = [POOL.submit(fill, worker) for worker in range(1, workers)]
+        head = self._started[0] if self._started else None
+        if head and (head.counter, head.n, head.dtype) == (self.counter, n, np.dtype(dtype)):
+            draw = self._started.pop(0)
+        else:
+            self.cancel_started()
+            draw = _Draw(self.seed, self.counter, n, dtype, None)
         try:
-            fill(0)
-        finally:
-            # Helpers that never started are dropped; the others are waited for,
-            # so no thread writes into ``out`` once the draw returns or raises.
-            errors = [f.exception() for f in helpers if not f.cancel()]
-        for error in errors:
-            if error is not None:
-                raise error
-        self.counter += 2 * pairs
-        return out[:n]
+            out = draw.join()
+        except BaseException:
+            self.cancel_started()
+            raise
+        self.counter = draw.end
+        return out
+
+    def cancel_started(self) -> None:
+        """Cancel every started draw not yet joined; none of their helpers
+        writes once this returns."""
+        while self._started:
+            self._started.pop().cancel()
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; deterministic in (seed, index)."""
@@ -399,16 +471,27 @@ def clamp_time(t: float) -> float:
     return float(t)
 
 
-def interpolate_source(x_src: np.ndarray, noise: np.ndarray, t: float) -> np.ndarray:
-    """(1 - t) * x_src + t * noise, elementwise; exact at both endpoints."""
+def interpolate_source(
+    x_src: np.ndarray, noise: np.ndarray, t: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(1 - t) * x_src + t * noise, elementwise; exact at both endpoints.
+
+    With ``out`` the result is written there and ``noise`` is used up: it
+    may hold ``t * noise`` afterwards.
+    """
     if x_src.shape != noise.shape:
         raise ShapeMismatchError(f"source shape {x_src.shape} != noise shape {noise.shape}")
     t = clamp_time(t)
-    if t == 0.0:
-        return x_src.copy()
-    if t == 1.0:
-        return noise.copy()
-    return (1.0 - t) * x_src + t * noise
+    if t == 0.0 or t == 1.0:
+        end = x_src if t == 0.0 else noise
+        if out is None:
+            return end.copy()
+        np.copyto(out, end)
+        return out
+    if out is None:
+        return (1.0 - t) * x_src + t * noise
+    np.multiply(noise, t, out=noise)
+    return np.add(np.multiply(x_src, 1.0 - t, out=out), noise, out=out)
 
 
 # ---------------------------------------------------------------------------

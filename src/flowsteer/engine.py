@@ -26,16 +26,20 @@ index, so a step's noise depends only on (seed, step index, draw index).
 Skipping more initial steps therefore changes the outcome only through the
 removed intervals, never by shifting noise onto different steps. The same
 property lets a run draw one step ahead: when one draw spans more than one
-RNG chunk, step k+1's draws are submitted to ``core.POOL`` as step k starts
-and run there while step k computes, and step k frees its arrays at its
-end, so the draw in flight does not raise peak memory. Smaller draws run on
-the calling thread, just before their step. Neither path changes a value,
-and neither does the step arithmetic done in place, which repeats the same
-IEEE operations in the same order. Coupling is computed difference-first,
-``(z_edit - x_src) + z_src``, which keeps the coupled state exactly on the
-pseudo-source path while the trajectory still sits at the source; with
-identical source and target conditions the whole run is then a bitwise
-fixed point.
+RNG chunk, step k+1's draws are started as step k begins, their helpers
+fill chunks on ``core.POOL`` while step k computes, and step k+1's own
+``sample_gaussian`` calls fill the chunks left. Such a run also computes
+in place: a workspace of latent-size buffers, allocated once per run,
+takes each draw, state, velocity, signal and update through ``out=``, and
+each velocity is written into the buffer of its state. Smaller draws run
+on the calling thread, just before their step, and their steps allocate
+as they always have. Neither path changes a value: the in-place step
+repeats the same IEEE operations in the same order.
+
+Coupling is computed difference-first, ``(z_edit - x_src) + z_src``, which
+keeps the coupled state exactly on the pseudo-source path while the
+trajectory still sits at the source; with identical source and target
+conditions the whole run is then a bitwise fixed point.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import numpy as np
 from .amm import AmmConfig, amplify, contrast_map, gamma_f
 from .backends import BackendRegistry, VelocityQuery
 from .core import (
-    POOL,
     EditMask,
     RngStream,
     TimeGrid,
@@ -109,15 +112,23 @@ class EditReport:
     steps: list[StepRecord] = field(default_factory=list)
 
 
-def couple_target(z_edit: np.ndarray, z_src: np.ndarray, x_src: np.ndarray) -> np.ndarray:
-    """Target state z_edit + z_src - x_src, grouped difference-first."""
+def couple_target(
+    z_edit: np.ndarray, z_src: np.ndarray, x_src: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Target state z_edit + z_src - x_src, grouped difference-first; written
+    into ``out`` when given."""
     if not (z_edit.shape == z_src.shape == x_src.shape):
         raise ShapeMismatchError("coupling operands must share one shape")
-    return (z_edit - x_src) + z_src
+    if out is None:
+        return (z_edit - x_src) + z_src
+    return np.add(np.subtract(z_edit, x_src, out=out), z_src, out=out)
 
 
-def blend_baseline(z_edit: np.ndarray, z_reference: np.ndarray, mask: EditMask) -> np.ndarray:
-    """Keep z_edit inside the mask, the reference outside; exact selection."""
+def blend_baseline(
+    z_edit: np.ndarray, z_reference: np.ndarray, mask: EditMask, in_place: bool = False
+) -> np.ndarray:
+    """Keep z_edit inside the mask, the reference outside; exact selection.
+    With ``in_place`` the result overwrites ``z_edit``."""
     if z_edit.shape != z_reference.shape:
         raise ShapeMismatchError("blend operands must share one shape")
     if mask.shape != z_edit.shape[2:]:
@@ -125,7 +136,10 @@ def blend_baseline(z_edit: np.ndarray, z_reference: np.ndarray, mask: EditMask) 
             f"mask shape {mask.shape} does not match latent grid {z_edit.shape[2:]}"
         )
     keep = mask.data.astype(bool)[None, None]
-    return np.where(keep, z_edit, z_reference)
+    if not in_place:
+        return np.where(keep, z_edit, z_reference)
+    np.copyto(z_edit, z_reference, where=~keep)
+    return z_edit
 
 
 def _sar_hook(cfg: EditConfig, t: float):
@@ -135,6 +149,21 @@ def _sar_hook(cfg: EditConfig, t: float):
     return hook
 
 
+class _Workspace:
+    """Latent-size float32 buffers that the steps of one in-place run take
+    and give back, so each is allocated once per run."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.free: list[np.ndarray] = []
+
+    def take(self) -> np.ndarray:
+        return self.free.pop() if self.free else np.empty(self.shape, dtype=np.float32)
+
+    def give(self, *buffers: np.ndarray) -> None:
+        self.free.extend(buffers)
+
+
 def editing_signal(
     z_edit: np.ndarray,
     x_src: np.ndarray,
@@ -142,6 +171,7 @@ def editing_signal(
     cfg: EditConfig,
     backend: BackendRegistry,
     noises: list[np.ndarray],
+    ws: Optional[_Workspace] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Average of v_target(z_tar) - v_source(z_src) over the ``cfg.n_avg`` noise draws.
 
@@ -151,25 +181,44 @@ def editing_signal(
     is set. The refinement hook is installed on the target evaluation only;
     the source velocity sees raw attention. Draws accumulate in a fixed
     sequential order so the mean is reproducible.
+
+    With a workspace ``ws`` every latent-size result is written into one of
+    its buffers and each velocity into the buffer of its state; the noise is
+    used up, and every buffer the caller does not get back is given back.
+    The first draw's noise (for the baseline blend) and states (for the
+    record) are kept intact when ``cfg`` asks for them.
     """
     hook = _sar_hook(cfg, t)
-    acc = np.zeros(x_src.shape, dtype=np.float32)
+    if ws is None:
+        acc = np.zeros(x_src.shape, dtype=np.float32)
+    else:
+        acc = ws.take()
+        acc.fill(0)
     for draw in range(cfg.n_avg):
-        noise = noises.pop(0)
-        z_src = interpolate_source(x_src, noise, t)
-        z_tar = couple_target(z_edit, z_src, x_src)
-        v_tar = backend.velocity(VelocityQuery(z_tar, t, "target", attention_hook=hook))
-        v_src = backend.velocity(VelocityQuery(z_src, t, "source"))
+        noise = spent = noises.pop(0)  # with a workspace the interpolation uses up ``spent``
+        if ws is not None and draw == 0 and cfg.baseline_blend:
+            spent = ws.take()  # the blend reads this draw's noise after the step
+            np.copyto(spent, noise)
+        reuse_states = ws is not None and not (draw == 0 and cfg.record_states)
+        z_src = interpolate_source(x_src, spent, t, out=ws and ws.take())
+        if ws is not None:
+            ws.give(spent)
+        z_tar = couple_target(z_edit, z_src, x_src, out=ws and ws.take())
+        v_tar = backend.velocity(
+            VelocityQuery(z_tar, t, "target", hook, out=z_tar if reuse_states else None)
+        )
+        v_src = backend.velocity(
+            VelocityQuery(z_src, t, "source", out=z_src if reuse_states else None)
+        )
         v_tar -= v_src
         acc += v_tar
+        if reuse_states:
+            ws.give(z_src, z_tar)
         if draw == 0:
             first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
-    return (acc / np.float32(cfg.n_avg), *first)
-
-
-def _draw_noise(rng: RngStream, shape: tuple[int, ...], count: int) -> list[np.ndarray]:
-    """One step's ``count`` float32 standard-normal draws of ``shape``, in draw order."""
-    return [sample_gaussian(rng, shape) for _ in range(count)]
+    n_avg = np.float32(cfg.n_avg)
+    dv = acc / n_avg if ws is None else np.divide(acc, n_avg, out=acc)
+    return (dv, *first)
 
 
 def _signal_stats(dv: np.ndarray, cfg: EditConfig) -> tuple[float, tuple[float, ...], float]:
@@ -192,10 +241,11 @@ def run_edit(
 
     The state is checked for finiteness once per step, before the baseline
     blend; a non-finite state raises NonFiniteStateError naming the step.
-    A step's draws come from the run's substream of its index, drawn on the
-    calling thread or, for draws of several RNG chunks, one step ahead on
-    ``core.POOL``; the run returns or raises only once none of its draws is
-    running.
+    A step's draws come from the run's substream of its index. When one
+    draw spans several RNG chunks, each next step's draws are started on
+    ``core.POOL`` as a step begins, and the step runs in place in buffers
+    allocated once per run; the run returns or raises only once no helper
+    of a started draw can still write.
     """
     if cfg.mask.shape != x_src.data.shape[2:]:
         raise ShapeMismatchError(
@@ -207,27 +257,29 @@ def run_edit(
     run_rng = RngStream(cfg.seed)
     x = z_edit = x_src.data
     steps = list(cfg.grid.intervals())
-    draw_ahead = draw_spans_chunks(x.size)
-    ahead = None  # future of the next step's draws
+    ws = _Workspace(x.shape) if draw_spans_chunks(x.size) else None
+    ahead = None  # the next step's substream, its draws started
     try:
         for k, (index, t, t_next) in enumerate(steps):
-            if ahead is None:
-                noises = _draw_noise(run_rng.substream(index), x.shape, cfg.n_avg)
-            else:
-                noises = ahead.result()
-                ahead = None
-            if draw_ahead and k + 1 < len(steps):
-                rng = run_rng.substream(steps[k + 1][0])
-                ahead = POOL.submit(_draw_noise, rng, x.shape, cfg.n_avg)
-            dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises)
+            rng = run_rng.substream(index) if ahead is None else ahead
+            noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
+            ahead = None
+            if ws is not None and k + 1 < len(steps):
+                ahead = run_rng.substream(steps[k + 1][0])
+                for _ in range(cfg.n_avg):
+                    ahead.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
+            dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises, ws)
             contrast = contrast_map(dv, cfg.amm.epsilon)
-            dv_amm = amplify(dv, contrast, gain)
-            z_next = dv_amm * (t_next - t)
+            dv_amm = amplify(dv, contrast, gain, out=ws and ws.take())
+            z_next = np.multiply(dv_amm, t_next - t, out=ws and ws.take())
             z_next += z_edit
             if not np.isfinite(z_next).all():
                 raise NonFiniteStateError(index, "latent entries must be finite")
             if cfg.baseline_blend:
-                z_next = blend_baseline(z_next, interpolate_source(x, noise, t_next), cfg.mask)
+                z_ref = interpolate_source(x, noise, t_next, out=ws and ws.take())
+                z_next = blend_baseline(z_next, z_ref, cfg.mask, in_place=ws is not None)
+                if ws is not None:
+                    ws.give(z_ref, noise)
             mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg)
             mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg)
             record = StepRecord(
@@ -245,15 +297,12 @@ def run_edit(
                 z_edit_before=z_edit if cfg.record_states else None,
             )
             report.steps.append(record)
+            if ws is not None:
+                ws.give(dv, dv_amm)
+                if z_edit is not x and not cfg.record_states:
+                    ws.give(z_edit)
             z_edit = z_next
-            if draw_ahead:
-                # The next step's latent-size draws are in flight: free this step's
-                # arrays now. Inline steps free them as the next step rebinds them,
-                # which measured a fraction of the page faults at toy size.
-                del dv, noise, contrast, dv_amm
     finally:
-        # An edit that raises returns only once its draw ahead is cancelled or
-        # done; that draw's own error, if any, gives way to the edit's.
-        if ahead is not None and not ahead.cancel():
-            ahead.exception()
+        if ahead is not None:
+            ahead.cancel_started()
     return VideoLatent(z_edit), report

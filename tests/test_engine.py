@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -340,22 +341,26 @@ def _report_bytes(report):
 
 
 class TestDrawAhead:
-    """With chunks shrunk so that desk-size draws span several, run_edit draws
-    each next step's noise on the pool; the values must not change."""
+    """With chunks shrunk so that desk-size draws span several, run_edit starts
+    each next step's draws one step early and runs the step in place; the
+    values must not change."""
 
     @staticmethod
     def _force_multi_chunk(monkeypatch):
-        """Shrink the RNG chunks; returns the list of functions run_edit submits."""
+        """Shrink the RNG chunks and fix two workers per draw; returns the list
+        of (seed, counter) of the draw of every helper submitted to the pool."""
         monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         submitted = []
-        pool = engine.POOL
+        pool = core.POOL
 
         class CountingPool:
             def submit(self, fn, *args):
-                submitted.append(fn)
+                draw = fn.__self__
+                submitted.append((draw.seed, draw.counter))
                 return pool.submit(fn, *args)
 
-        monkeypatch.setattr(engine, "POOL", CountingPool())
+        monkeypatch.setattr(core, "POOL", CountingPool())
         return submitted
 
     def _blend_cfg(self):
@@ -371,42 +376,68 @@ class TestDrawAhead:
             record_contrast=True,
         )
 
-    @pytest.mark.parametrize("backend", ["gaussian", "toy"])
-    def test_matches_inline_path_exactly(self, make_latent, monkeypatch, backend):
+    def _case(self, backend):
+        cfg = self._blend_cfg()
         if backend == "gaussian":
-            reg = gaussian_registry(0.0, 1.0)
-            cfg = self._blend_cfg()
-        else:
-            j_tar = TargetTokenSet.of(1)
-            src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
-            reg = BackendRegistry(src, tar)
-            cfg = replace(self._blend_cfg(), j_tar=j_tar)
-        x = make_latent()
+            return gaussian_registry(0.0, 1.0), cfg
+        j_tar = TargetTokenSet.of(1)
+        src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
+        return BackendRegistry(src, tar), replace(cfg, j_tar=j_tar)
+
+    def _check_against_inline(self, x, cfg, reg, monkeypatch):
         assert not core.draw_spans_chunks(x.data.size)
         inline_result, inline_report = run_edit(x, cfg, reg)
 
         submitted = self._force_multi_chunk(monkeypatch)
+        seen = []
+        signal = engine.editing_signal
+
+        def counting_signal(*args):
+            seen.append(len(submitted))
+            return signal(*args)
+
+        monkeypatch.setattr(engine, "editing_signal", counting_signal)
         ahead_result, ahead_report = run_edit(x, cfg, reg)
-        # steps 5..1 are active: the last four draw ahead, the first inline
-        assert submitted == [engine._draw_noise] * 4
+        # steps 5..1 are active, two draws each of six chunks, one helper per draw;
+        # each step computes with the next step's draws started
+        assert seen == [4, 6, 8, 10, 10]
+        run_rng = RngStream(cfg.seed)
+        seeds = [run_rng.substream(index).seed for index in (5, 4, 3, 2, 1)]
+        assert submitted == [(seed, counter) for seed in seeds for counter in (0, 96)]
         assert ahead_result.data.tobytes() == inline_result.data.tobytes()
         assert _report_bytes(ahead_report) == _report_bytes(inline_report)
+        # the result owns its buffer: a later run reuses none of it
+        run_edit(x, cfg, reg)
+        assert ahead_result.data.tobytes() == inline_result.data.tobytes()
+
+    @pytest.mark.parametrize("backend", ["gaussian", "toy"])
+    def test_matches_inline_path_exactly(self, make_latent, monkeypatch, backend):
+        reg, cfg = self._case(backend)
+        self._check_against_inline(make_latent(), cfg, reg, monkeypatch)
+
+    @pytest.mark.parametrize("backend", ["gaussian", "toy"])
+    def test_every_buffer_reused_matches_inline_path(self, make_latent, monkeypatch, backend):
+        """No blend and no recorded states: every noise and state buffer is reused."""
+        reg, cfg = self._case(backend)
+        cfg = replace(cfg, baseline_blend=False, record_states=False)
+        self._check_against_inline(make_latent(), cfg, reg, monkeypatch)
 
     def test_failure_mid_run_leaves_no_draw_running(self, make_latent, monkeypatch):
         submitted = self._force_multi_chunk(monkeypatch)
-        draw = engine._draw_noise
-        started, running = [], []
+        fill = core._fill_chunk
+        running, in_flight = [], []
 
-        def slow_draw(rng, shape, count):
-            started.append(rng.seed)
-            running.append(rng.seed)
+        def slow_helper_fill(out, seed, counter, lo, hi, ramp, scratch):
+            if not getattr(core._pool_thread, "active", False):
+                return fill(out, seed, counter, lo, hi, ramp, scratch)
+            running.append(seed)
             try:
-                time.sleep(0.2)  # still drawing when the step before it fails
-                return draw(rng, shape, count)
+                time.sleep(0.2)  # still writing when the step before its draw fails
+                fill(out, seed, counter, lo, hi, ramp, scratch)
             finally:
-                running.remove(rng.seed)
+                running.remove(seed)
 
-        monkeypatch.setattr(engine, "_draw_noise", slow_draw)
+        monkeypatch.setattr(core, "_fill_chunk", slow_helper_fill)
 
         class PoisonedAt(BackendRegistry):
             """Gaussian pair whose velocities turn non-finite below t = 0.45."""
@@ -415,7 +446,8 @@ class TestDrawAhead:
                 vel = super().velocity(query)
                 if query.time > 0.45:
                     return vel
-                time.sleep(0.05)  # lets the pool start the draw submitted for the next step
+                time.sleep(0.05)  # lets the pool start the helper of the next step's draw
+                in_flight.extend(running)
                 return np.full_like(vel, np.nan)
 
         good = gaussian_registry(0.0, 1.0)
@@ -423,17 +455,40 @@ class TestDrawAhead:
         cfg = make_cfg(grid=TimeGrid.uniform(10, skip=4), seed=8)
         x = make_latent()
         before, _ = run_edit(x, cfg, good)
+        step3 = RngStream(cfg.seed).substream(3).seed
         for _ in range(2):
-            started.clear()
             submitted.clear()
+            in_flight.clear()
             with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
                 run_edit(x, cfg, bad)
-            # steps 6 and 5 pass; step 4 (t = 0.4) fails while step 3's draw runs
+            # steps 6 and 5 pass; step 4 (t = 0.4) fails while step 3's draw is being written
             assert err.value.step_index == 4
-            assert len(submitted) == 3 and len(started) == 4
+            assert len(submitted) == 4 and submitted[-1] == (step3, 0)
+            assert step3 in in_flight
             assert not running
         after, _ = run_edit(x, cfg, good)
         assert after.data.tobytes() == before.data.tobytes()
+
+
+class TestWorkingSet:
+    def test_multi_chunk_run_peaks_under_seven_latents(self, monkeypatch):
+        """The in-place step's working set, counted by tracemalloc (no timing):
+        at most 7 latent sizes above the start of a run, helpers' scratch included."""
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 1024)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        dims = (1, 16, 8, 32, 32)
+        x = random_latent(RngStream(3), dims)
+        assert core.draw_spans_chunks(x.data.size)
+        reg = gaussian_registry(0.0, 1.0, channels=16)
+        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=6), mask=full_mask(dims), seed=5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_edit(x, cfg, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / x.data.nbytes <= 7.0
 
 
 class TestTraceSeam:
@@ -466,6 +521,20 @@ class TestTraceSeam:
         "engine.couple_target": 8,
         "engine.run_edit": 1,
         "sar.apply_sar": 16,
+    }
+    # Gaussian, n_avg = 2 and no blend, with draws forced to span several chunks
+    IN_PLACE_SPANS = {
+        "amm.amplify": 4,
+        "amm.contrast_map": 4,
+        "backends.velocity_source": 8,
+        "backends.velocity_target": 8,
+        "core.interpolate_source": 8,
+        "core.sample_gaussian": 8,
+        "diagnostics.binarize_signal": 8,
+        "diagnostics.iou": 8,
+        "diagnostics.magnitude_stats": 8,
+        "engine.couple_target": 8,
+        "engine.run_edit": 1,
     }
 
     def test_spans_counts_and_restore(self, monkeypatch):
@@ -503,16 +572,28 @@ class TestTraceSeam:
             flowsteer.engine.run_edit(random_latent(RngStream(1)), gauss_cfg, gauss)
             split = len(tracer.spans)
             flowsteer.engine.run_edit(random_latent(RngStream(2), (2,) + DIMS[1:]), toy_cfg, toy)
+            split_in_place = len(tracer.spans)
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_CHUNK_PAIRS", 8)
+                in_place_cfg = replace(gauss_cfg, baseline_blend=False)
+                flowsteer.engine.run_edit(random_latent(RngStream(1)), in_place_cfg, gauss)
         finally:
             tracer.remove()
 
         assert Counter(span[0] for span in tracer.spans[:split]) == self.GAUSS_SPANS
-        assert Counter(span[0] for span in tracer.spans[split:]) == self.TOY_SPANS
+        assert Counter(span[0] for span in tracer.spans[split:split_in_place]) == self.TOY_SPANS
+        in_place = tracer.spans[split_in_place:]
+        assert Counter(span[0] for span in in_place) == self.IN_PLACE_SPANS
+        # every draw, started ahead or not, is joined by the edit's own thread
+        root = split_in_place
+        assert tracer.spans[root][0] == "engine.run_edit"
+        draws = [span for span in in_place if span[0] == "core.sample_gaussian"]
+        assert all(span[3] == root and span[4] == tracer.spans[root][4] for span in draws)
         # t = 0.8, 0.7, 0.6 pass the 0.6 gate, once per sample of the batch of 2
         notes = [span[5] for span in tracer.spans if span[0] == "sar.apply_sar"]
         assert notes == [True] * 6 + [False] * 10
         steps = [span[5] for span in tracer.spans if span[0] == "engine.run_edit"]
-        assert steps == [4, 8]
+        assert steps == [4, 8, 4]
         for owner, saved in zip(owners, before):
             after = vars(owner)
             assert after.keys() == saved.keys()

@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,6 +245,170 @@ class TestFloat32Normals:
         assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
+class TestStartedDraws:
+    """A draw started ahead of its ``normals`` call equals the one-shot oracle
+    however far its helpers got before the call joins it."""
+
+    PAIRS = 4
+    N = 16 * 2 * PAIRS + 3  # seventeen chunks, the last one short
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", self.PAIRS)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def _record_fills(monkeypatch, before=None):
+        """Patch the chunk filler to log (thread, lo) and run ``before(lo)`` first."""
+        fills = []
+        fill = core._fill_chunk
+
+        def recording_fill(out, seed, counter, lo, hi, ramp, scratch):
+            if before is not None:
+                before(lo)
+            fill(out, seed, counter, lo, hi, ramp, scratch)
+            fills.append((threading.get_ident(), lo))
+
+        monkeypatch.setattr(core, "_fill_chunk", recording_fill)
+        return fills
+
+    def _join_and_check(self, rng, seed=5, counter=2):
+        got = rng.normals(self.N)
+        assert got.tobytes() == _oracle_normals(seed, counter, self.N).tobytes()
+        assert rng.counter == counter + self.N + 1
+
+    def test_joined_before_any_helper_starts(self, monkeypatch):
+        fills = self._record_fills(monkeypatch)
+        gate = threading.Event()
+        pool = ThreadPoolExecutor(1)
+        try:
+            pool.submit(gate.wait, 60)  # keeps the only helper thread busy
+            monkeypatch.setattr(core, "POOL", pool)
+            rng = RngStream(5, 2)
+            rng.start_normals(self.N)
+            self._join_and_check(rng)
+        finally:
+            gate.set()
+            pool.shutdown(wait=True)
+        assert {ident for ident, _ in fills} == {threading.get_ident()}
+        assert len(fills) == 17
+
+    def test_joined_halfway(self, monkeypatch):
+        main = threading.get_ident()
+        halfway, joined = threading.Event(), threading.Event()
+
+        def pause_helper_halfway(lo):
+            if threading.get_ident() == main:
+                joined.set()
+            elif lo >= 8 * self.PAIRS:
+                halfway.set()
+                assert joined.wait(60)
+
+        fills = self._record_fills(monkeypatch, pause_helper_halfway)
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N)
+        assert halfway.wait(60)
+        self._join_and_check(rng)
+        by_helper = [lo for ident, lo in fills if ident != main]
+        assert len(by_helper) >= 8 and len(fills) == 17
+        assert any(ident == main for ident, _ in fills)
+
+    def test_joined_after_every_chunk_is_done(self, monkeypatch):
+        done = threading.Event()
+        fills = self._record_fills(monkeypatch)
+        fill = core._fill_chunk
+
+        def signalling_fill(*args):
+            fill(*args)
+            if len(fills) == 17:
+                done.set()
+
+        monkeypatch.setattr(core, "_fill_chunk", signalling_fill)
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N)
+        assert done.wait(60)
+        self._join_and_check(rng)
+        assert threading.get_ident() not in {ident for ident, _ in fills}
+
+    def test_helper_error_raises_from_the_join(self, monkeypatch):
+        main = threading.get_ident()
+        returned = threading.Event()
+        late = []
+
+        def failing_helper(lo):
+            if threading.get_ident() == main:
+                time.sleep(0.01)  # lets the helper reach its failing chunk first
+                return
+            late.append(returned.is_set())
+            if lo >= 2 * self.PAIRS:
+                raise RuntimeError("helper chunk failed")
+            time.sleep(0.02)
+
+        fill = core._fill_chunk
+        self._record_fills(monkeypatch, failing_helper)
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N)
+        rng.start_normals(self.N)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            rng.normals(self.N)
+        returned.set()
+        time.sleep(0.1)
+        assert late and not any(late)
+        assert rng.counter == 2
+        # the draw started after the failed one is cancelled; the stream draws afresh
+        monkeypatch.setattr(core, "_fill_chunk", fill)
+        self._join_and_check(rng)
+
+    def test_draw_started_on_a_pool_thread_submits_no_helper(self, monkeypatch):
+        pool = core.POOL
+        helpers = []
+
+        class SpyPool:
+            def submit(self, fn, *args):
+                helpers.append(fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(core, "POOL", SpyPool())
+        rng = RngStream(5, 2)
+        pool.submit(rng.start_normals, self.N).result(timeout=60)
+        self._join_and_check(rng)
+        assert helpers == []
+
+    def test_failed_join_keeps_the_counter(self, monkeypatch):
+        def failing(lo):
+            if lo == 3 * self.PAIRS:
+                raise RuntimeError("chunk 3 failed")
+
+        self._record_fills(monkeypatch, failing)
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N)
+        with pytest.raises(RuntimeError, match="chunk 3 failed"):
+            rng.normals(self.N)
+        assert rng.counter == 2
+
+    def test_started_draws_join_in_order_into_out(self):
+        rng = RngStream(5, 2)
+        out = np.empty(self.N, dtype=np.float32)
+        rng.start_normals(self.N, np.float32, out=out)
+        rng.start_normals(self.N)
+        first = rng.normals(self.N, np.float32)
+        assert first is out
+        want = _oracle_normals(5, 2, 2 * self.N + 1)
+        assert first.tobytes() == want[: self.N].astype(np.float32).tobytes()
+        assert rng.normals(self.N).tobytes() == want[self.N + 1 :].tobytes()
+
+    def test_mismatched_call_cancels_the_started_draw(self):
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N)
+        got = rng.normals(7)
+        assert got.tobytes() == _oracle_normals(5, 2, 7).tobytes()
+        self._join_and_check(rng, counter=10)
+
+    def test_out_must_fit_the_draw(self):
+        with pytest.raises(ValueError, match="out must be"):
+            RngStream(5).start_normals(self.N, np.float32, out=np.empty(self.N - 1, np.float32))
+
+
 class TestInterpolate:
     def test_endpoint_zero_is_source(self, make_latent):
         x, n = make_latent(), make_latent()
@@ -253,6 +419,14 @@ class TestInterpolate:
         x, n = make_latent(), make_latent()
         out = interpolate_source(x.data, n.data, 1.0)
         assert np.array_equal(out, n.data)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    def test_written_into_out_bitwise(self, make_latent, t):
+        x, n = make_latent(), make_latent()
+        want = interpolate_source(x.data, n.data, t)
+        noise, out = n.data.copy(), np.empty_like(want)
+        assert interpolate_source(x.data, noise, t, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
     def test_hand_value_quarter(self):
         x = VideoLatent(np.full((1, 1, 1, 2, 2), 2.0, dtype=np.float32))
