@@ -8,17 +8,25 @@ Two desk-scale backends are provided:
 
 * a toy cross-attention backend that projects voxels to queries, scores
   them against per-condition text keys, and mixes text values through a
-  row softmax. It exposes its pre-softmax logits to an optional hook so
+  softmax over the tokens. Its logits are token-major, one (L, F*H*W)
+  array per sample, exposed before the softmax to an optional hook so
   attention-level interventions can be tested end to end.
 
 Both are immutable after construction and evaluate deterministically, so
-velocity calls are pure and safe to issue concurrently. An edit evaluates
-exactly two conditions, so ``BackendRegistry`` holds the source/target pair
-and a ``VelocityQuery`` names its role, ``"source"`` or ``"target"``.
+velocity calls are pure and safe to issue concurrently: the toy field's
+temporaries are buffers of the calling thread, kept across calls, and its
+result is never one of them. Its token sum repeats numpy's pairwise order,
+so the token-major layout gives the bits of the row-major one wherever
+numpy runs the products through BLAS gemm (C >= 2 and query width >= 2).
+
+An edit evaluates exactly two conditions, so ``BackendRegistry`` holds the
+source/target pair and a ``VelocityQuery`` names its role, ``"source"`` or
+``"target"``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -27,10 +35,11 @@ import numpy as np
 
 from .core import RngStream, clamp_time
 from .errors import ShapeMismatchError
-from .sar import TargetTokenSet, _row_extreme
+from .sar import TargetTokenSet, _token_extreme
 
-# Hook over the pre-softmax (F*H*W, L) logit matrix; second argument is the
-# attention layer index. It returns the logits to softmax, its input if unchanged.
+# Hook over the pre-softmax (L, F*H*W) logit array, one row per text token; second
+# argument is the attention layer index. It returns the logits to softmax, its input
+# if unchanged, and must not write into its input.
 AttentionHook = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -127,7 +136,7 @@ def make_toy_condition_pair(
     keys = root.substream(0).normals(tokens * query_dim).reshape(tokens, query_dim)
     values = root.substream(1).normals(tokens * channels).reshape(tokens, channels)
     weights = root.substream(2).normals((3 + channels) * query_dim).reshape(3 + channels, query_dim)
-    tar_rows = sorted(j_tar.column_selector(tokens).nonzero()[0])
+    tar_rows = sorted(j_tar.token_selector(tokens).nonzero()[0])
     edited = values.copy()
     replacement = root.substream(3).normals(len(tar_rows) * channels).reshape(-1, channels)
     edited[tar_rows] = replacement
@@ -139,9 +148,8 @@ def make_toy_condition_pair(
 @dataclass(frozen=True)
 class VelocityQuery:
     """Arguments of one conditional velocity evaluation; ``state`` is a float32
-    (B, C, F, H, W) array. A field that computes elementwise writes the
-    velocity into ``out`` when given, which may be ``state`` itself; the toy
-    field ignores it and returns a new array."""
+    (B, C, F, H, W) array. A field writes the velocity into ``out`` when
+    given, which may be ``state`` itself."""
 
     state: np.ndarray
     time: float
@@ -192,20 +200,101 @@ def _voxel_grid(frames: int, height: int, width: int) -> np.ndarray:
     return grid.reshape(-1, 3)
 
 
-def _voxel_features(state: np.ndarray, sample: int) -> np.ndarray:
-    """Feature matrix (F*H*W, 3 + C): cell-center coordinates then channel values."""
-    _, channels, frames, height, width = state.shape
-    values = state[sample].reshape(channels, -1).T  # (F*H*W, C)
-    return np.concatenate([_voxel_grid(frames, height, width), values], axis=1)
+class _ToyBuffers:
+    """One thread's toy-velocity temporaries for one (C, F, H, W) latent and
+    (L, d) key shape. ``feats`` is the (3 + C, F*H*W) feature matrix, its
+    three cell-center rows filled here once; ``features`` fills the rest.
+    The queries are dead before the token sum's scratch is needed, so the
+    two share one buffer."""
+
+    def __init__(self, key: tuple[tuple[int, ...], tuple[int, ...]]):
+        (channels, frames, height, width), (tokens, dim) = key
+        voxels = frames * height * width
+        self.key = key
+        self.feats = np.empty((3 + channels, voxels), dtype=np.float32)
+        self.feats[:3] = _voxel_grid(frames, height, width).T
+        work = np.empty((max(dim, 8), voxels), dtype=np.float32)
+        self.queries = work[:dim]
+        self.scratch = work[:8]
+        self.logits = np.empty((tokens, voxels), dtype=np.float32)
+        self.probs = np.empty((tokens, voxels), dtype=np.float32)
+        self.shift = np.empty(voxels, dtype=np.float32)
+
+    def features(self, state: np.ndarray, sample: int) -> np.ndarray:
+        """Feature matrix (3 + C, F*H*W): cell-center coordinates then channel values."""
+        np.copyto(self.feats[3:], state[sample].reshape(self.feats.shape[0] - 3, -1))
+        return self.feats
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+_LOCAL = threading.local()
+
+
+def _toy_buffers(key: tuple[tuple[int, ...], tuple[int, ...]]) -> _ToyBuffers:
+    """The calling thread's buffer set for ``key``; a new shape replaces it."""
+    bufs = getattr(_LOCAL, "toy", None)
+    if bufs is None or bufs.key != key:
+        bufs = _LOCAL.toy = _ToyBuffers(key)
+    return bufs
+
+
+def _pairwise_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(x[:half], out, scratch)
+        out += _pairwise_sum(x[half:], np.empty_like(out), scratch)
+        return out
+    if n < 8:
+        np.copyto(out, x[0])
+        rest = range(1, n)
+    else:
+        stop = n - n % 8
+        np.copyto(scratch, x[:8])
+        for i in range(8, stop, 8):
+            scratch += x[i : i + 8]
+        pairs = scratch.reshape(4, 2, -1)
+        np.add(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])  # r0+r1, r2+r3, r4+r5, r6+r7
+        np.add(scratch[0], scratch[2], out=scratch[0])
+        np.add(scratch[4], scratch[6], out=scratch[4])
+        np.add(scratch[0], scratch[4], out=out)
+        rest = range(stop, n)
+    for j in rest:
+        out += x[j]
+    return out
+
+
+def _token_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of an (n, N) array into ``out``, (N,), in numpy's own order.
+
+    numpy sums a contiguous row of n values pairwise: sequentially below 8;
+    up to 128 in eight accumulators stepping by 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in sequence;
+    above 128 as the sums of two halves split at n/2 rounded down to a
+    multiple of 8. The reduction adds that to its identity, +0. The same
+    additions, column by column, equal ``np.add.reduce(x.T, axis=1)`` bit for
+    bit, but for the sign of a NaN met by another NaN, which depends on the
+    operand order numpy's compiled loop uses. ``scratch`` is (8, N) and is
+    overwritten.
+    """
+    _pairwise_sum(x, out, scratch)
+    out += 0  # the identity: a -0 sum becomes +0
+    return out
+
+
+def _softmax_tokens(
+    logits: np.ndarray, out: np.ndarray, shift: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Softmax over axis 0 of an (L, N) logit array, written into ``out``.
+
+    ``shift`` (N,) and ``scratch`` (8, N) are overwritten; ``logits`` is not.
+    """
     # 0 * min is +-0 while every logit is finite and NaN once one is -inf or NaN (+inf
-    # already makes its row NaN), so no non-finite logit passes as an exact zero weight.
-    shift = _row_extreme(logits, np.maximum) + 0 * logits.min()
-    probs = logits - shift
+    # already makes its column NaN), so no non-finite logit passes as an exact zero weight.
+    _token_extreme(logits, np.maximum, out=shift)
+    shift += 0 * logits.min()
+    probs = np.subtract(logits, shift, out=out)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= _token_sum(probs, shift, scratch)
     return probs
 
 
@@ -215,32 +304,33 @@ def toy_attention_velocity(
     cond: ToyAttentionCondition,
     hook: Optional[AttentionHook] = None,
     layer: int = 0,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Attention-mixed velocity plus the post-hook, post-softmax maps per sample.
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Attention-mixed velocity, written into ``out`` (C-contiguous) when given.
 
     Queries are a fixed linear map of voxel coordinates and local channel
-    values; logits are (Q K^T) / temperature. The hook, when given, runs on
-    the pre-softmax logits of each sample.
+    values; logits are K Q^T / temperature, one (L, F*H*W) array per sample.
+    The hook, when given, runs on the pre-softmax logits of each sample.
+    The temporaries are the calling thread's buffers, reused by its next
+    call; the velocity is ``out`` or a new array, never one of them.
     """
     batch, channels, frames, height, width = state.shape
     if cond.channels != channels:
         raise ShapeMismatchError(
             f"condition produces {cond.channels} channels, latent has {channels}"
         )
-    outs = []
-    maps: list[np.ndarray] = []
+    bufs = _toy_buffers((state.shape[1:], cond.text_keys.shape))
+    result = np.empty(state.shape, dtype=np.float32) if out is None else out
     for b in range(batch):
-        feats = _voxel_features(state, b)
-        queries = feats @ cond.query_weights
-        logits = queries @ cond.text_keys.T
+        feats = bufs.features(state, b)
+        np.matmul(cond.query_weights.T, feats, out=bufs.queries)
+        logits = np.matmul(cond.text_keys, bufs.queries, out=bufs.logits)
         logits /= np.float32(cond.temperature)
         if hook is not None:
             logits = hook(logits, layer)
-        probs = _softmax_rows(logits)
-        mixed = probs @ cond.text_values  # (F*H*W, C)
-        outs.append(mixed.T.reshape(channels, frames, height, width))
-        maps.append(probs)
-    return np.stack(outs), maps
+        probs = _softmax_tokens(logits, bufs.probs, bufs.shift, bufs.scratch)
+        np.matmul(cond.text_values.T, probs, out=result[b].reshape(channels, -1))
+    return result
 
 
 class BackendRegistry:
@@ -254,14 +344,17 @@ class BackendRegistry:
         self.target = target
 
     def velocity(self, query: VelocityQuery) -> np.ndarray:
-        vel, _ = self.velocity_with_maps(query)
-        return vel
-
-    def velocity_with_maps(
-        self, query: VelocityQuery
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Dispatch a query; attention maps are empty for map-free backends."""
+        """Dispatch a query by role; the velocity is written into ``query.out``
+        when given."""
         cond = self.source if query.condition == "source" else self.target
         if isinstance(cond, GaussianCondition):
-            return gaussian_velocity(query.state, query.time, cond, query.out), []
-        return toy_attention_velocity(query.state, query.time, cond, hook=query.attention_hook)
+            return gaussian_velocity(query.state, query.time, cond, query.out)
+        return toy_attention_velocity(
+            query.state, query.time, cond, hook=query.attention_hook, out=query.out
+        )
+
+    def velocity_with_maps(self, query: VelocityQuery) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(velocity(query), [])``: no field returns its attention maps. Kept
+        as a name the bench's span tracer wraps, until the tracer moves to the
+        velocity-field protocol."""
+        return self.velocity(query), []

@@ -61,12 +61,13 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def magnitude_stats(dv: np.ndarray) -> tuple[float, tuple[float, ...]]:
-    """(mean |dv| over all entries, mean |dv| per latent frame)."""
+def magnitude_stats(dv: np.ndarray, per_frame: bool = True) -> tuple[float, tuple[float, ...]]:
+    """(mean |dv| over all entries, mean |dv| per latent frame); the per-frame
+    tuple is empty unless ``per_frame``."""
     mag = np.abs(dv)
     overall = float(mag.mean(dtype=np.float64))
-    per_frame = tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(dv.shape[2]))
-    return overall, per_frame
+    frames = dv.shape[2] if per_frame else 0
+    return overall, tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(frames))
 
 
 def report_rows(report) -> list[tuple[int, int, float, float, float]]:

@@ -12,7 +12,8 @@ target- and source-conditioned velocities of the backend's condition pair:
     z_edit = z_edit + (t_next - t) * amplify(dv)
 
 The attention hook (mask-anchored logit refinement) applies to the target
-evaluation only. The first ``grid.skip`` intervals contribute no update.
+evaluation only, on each sample's (L, F*H*W) pre-softmax logits. The first
+``grid.skip`` intervals contribute no update.
 
 Inside a step the layers pass plain float32 arrays; ``VideoLatent`` is the
 checked type only at the run's input and result. Non-finite values are not
@@ -221,15 +222,17 @@ def editing_signal(
     return (dv, *first)
 
 
-def _signal_stats(dv: np.ndarray, cfg: EditConfig) -> tuple[float, tuple[float, ...], float]:
-    """(mean |dv|, per-frame mean |dv|, IoU of the binarized signal vs. the mask).
+def _signal_stats(
+    dv: np.ndarray, cfg: EditConfig, per_frame: bool
+) -> tuple[float, tuple[float, ...], float]:
+    """(mean |dv|, per-frame mean |dv| or (), IoU of the binarized signal vs. the mask).
 
     With a batch, the IoU is averaged over samples.
     """
-    mean_abs, per_frame = magnitude_stats(dv)
+    mean_abs, frame_means = magnitude_stats(dv, per_frame)
     binary = binarize_signal(dv, eps=cfg.amm.epsilon)
     score = float(np.mean([iou(binary[b], cfg.mask.data) for b in range(binary.shape[0])]))
-    return mean_abs, per_frame, score
+    return mean_abs, frame_means, score
 
 
 def run_edit(
@@ -280,8 +283,8 @@ def run_edit(
                 z_next = blend_baseline(z_next, z_ref, cfg.mask, in_place=ws is not None)
                 if ws is not None:
                     ws.give(z_ref, noise)
-            mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg)
-            mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg)
+            mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg, per_frame=True)
+            mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg, per_frame=False)
             record = StepRecord(
                 index=index,
                 t=t,

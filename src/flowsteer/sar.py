@@ -1,29 +1,31 @@
 """Mask-anchored refinement of cross-attention logits.
 
-Two convex modulation passes over a pre-softmax logit matrix of shape
-(F*H*W) x L sharpen the coupling between selected text tokens and a binary
-spatial region:
+Two convex modulation passes over a pre-softmax logit array of shape
+L x (F*H*W), one row per text token and one column per voxel, sharpen the
+coupling between selected text tokens and a binary spatial region:
 
-* text-token pass: inside the masked voxels, target-token entries move
-  toward the voxel's row maximum and all other entries toward its row
+* text-token pass: in each masked voxel's column, target-token entries move
+  toward the column's token maximum and all other entries toward its token
   minimum, each by a convex step of strength beta1;
 
-* spatio-temporal pass: within each target-token column, masked voxels
-  move toward the column maximum and unmasked voxels toward the column
-  minimum, by strength beta2.
+* spatio-temporal pass: within each target-token row, masked voxels move
+  toward the row maximum and unmasked voxels toward the row minimum, by
+  strength beta2.
 
 Each update is a convex interpolation toward an existing extremum, so
 modulated values never leave the original logit range and the softmax
-downstream still yields probability rows. The refinement is gated to the
+downstream still yields probabilities. The refinement is gated to the
 early, high-t part of a run: it applies only while t >= tau_fraction *
 t_max and only on configured layers.
 
-The logits are a plain (F*H*W, L) array, one row per voxel in the mask's
-flattened order. The passes take a boolean row selector (the masked voxels)
-and a boolean column selector (the target tokens); ``apply_sar`` builds both
-from the ``EditMask`` and ``TargetTokenSet`` once per call and checks the
-mask's voxel count against the logit rows there. A pass that changes
-nothing returns its input array itself; otherwise it returns a new array.
+The logits are a plain (L, F*H*W) array whose columns follow the mask's
+flattened voxel order. The passes take a boolean column selector (the
+masked voxels) and a boolean row selector (the target tokens);
+``apply_sar`` builds both from the ``EditMask`` and ``TargetTokenSet`` once
+per call and checks the mask's voxel count against the logit columns
+there. A pass that changes nothing returns its input array itself;
+otherwise it returns a new array and leaves its input unwritten, unless the
+spatio-temporal pass is asked to work in place.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import ConfigError, ShapeMismatchError
 
 @dataclass(frozen=True)
 class TargetTokenSet:
-    """Nonempty set of text-token column indices (0-based) that carry the edit."""
+    """Nonempty set of text-token indices (0-based) that carry the edit."""
 
     indices: FrozenSet[int]
 
@@ -56,7 +58,7 @@ class TargetTokenSet:
     def of(cls, *indices: int) -> "TargetTokenSet":
         return cls(frozenset(indices))
 
-    def column_selector(self, tokens: int) -> np.ndarray:
+    def token_selector(self, tokens: int) -> np.ndarray:
         if max(self.indices) >= tokens:
             raise ValueError(
                 f"target token index {max(self.indices)} out of range for L={tokens}"
@@ -91,67 +93,81 @@ class SarConfig:
         return self.layer_set is None or layer in self.layer_set
 
 
-def _row_extreme(logits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """(N, 1) row max (``np.maximum``) or row min (``np.minimum``) of an (N, L) matrix.
+def _token_extreme(
+    logits: np.ndarray, ufunc: np.ufunc, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(N,) token max (``np.maximum``) or min (``np.minimum``) of an (L, N) array.
 
-    Loops over the L token columns because numpy reduces a short inner axis
-    one row at a time, several times slower than L whole-column ufunc calls.
-    The values equal ``ufunc.reduce(logits, axis=1)``, NaN included; only the
-    sign of a zero extremum from a +0/-0 tie may differ, as it already does
-    between numpy's own SIMD widths.
+    Folds the L token rows into one with L - 1 whole-row ufunc calls, written
+    into ``out`` when given. The values equal ``ufunc.reduce`` of the (N, L)
+    transpose over its token axis, NaN included; only the sign of a zero
+    extremum from a +0/-0 tie may differ, as it already does between numpy's
+    own SIMD widths.
     """
-    out = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
-        ufunc(out, logits[:, j], out=out)
-    return out[:, None]
+    if out is None:
+        out = logits[0].copy()
+    else:
+        np.copyto(out, logits[0])
+    for j in range(1, logits.shape[0]):
+        ufunc(out, logits[j], out=out)
+    return out
+
+
+def _convex_step(sub: np.ndarray, pulled: np.ndarray, beta: float) -> np.ndarray:
+    """(1 - beta) * sub + beta * pulled, computed in place in both operands."""
+    np.multiply(sub, 1.0 - beta, out=sub)
+    np.multiply(pulled, beta, out=pulled)
+    return np.add(sub, pulled, out=sub)
 
 
 def text_token_modulation(
     logits: np.ndarray,
-    rows: np.ndarray,
-    tar_cols: np.ndarray,
+    mask_cols: np.ndarray,
+    tar_rows: np.ndarray,
     beta1: float,
 ) -> np.ndarray:
-    """Convex pull of masked rows toward their extrema, keyed by token role.
+    """Convex pull of masked voxel columns toward their token extrema, keyed by token role.
 
     For voxels with mask 1, target-token entries become
-    (1 - beta1) * A + beta1 * rowmax and all other entries
-    (1 - beta1) * A + beta1 * rowmin. Everything else is untouched.
+    (1 - beta1) * A + beta1 * colmax and all other entries
+    (1 - beta1) * A + beta1 * colmin. Everything else is untouched.
     """
     if not 0.0 <= beta1 <= 1.0:
         raise ValueError(f"beta1 must be in [0, 1], got {beta1}")
-    if beta1 == 0.0 or not rows.any():
+    if beta1 == 0.0 or not mask_cols.any():
         return logits
-    sub = logits[rows]
-    row_max = _row_extreme(sub, np.maximum)
-    row_min = _row_extreme(sub, np.minimum)
-    pulled = np.where(tar_cols[None, :], row_max, row_min)
+    sub = logits[:, mask_cols]
+    tok_max = _token_extreme(sub, np.maximum)
+    tok_min = _token_extreme(sub, np.minimum)
+    pulled = np.where(tar_rows[:, None], tok_max, tok_min)
     out = logits.copy()
-    out[rows] = (1.0 - beta1) * sub + beta1 * pulled
+    out[:, mask_cols] = _convex_step(sub, pulled, beta1)
     return out
 
 
 def spatiotemporal_modulation(
     logits: np.ndarray,
-    rows: np.ndarray,
-    tar_cols: np.ndarray,
+    mask_cols: np.ndarray,
+    tar_rows: np.ndarray,
     beta2: float,
+    in_place: bool = False,
 ) -> np.ndarray:
-    """Convex pull of target-token columns toward their spatial extrema.
+    """Convex pull of target-token rows toward their spatial extrema.
 
-    Masked voxels move toward the column max, unmasked voxels toward the
-    column min; non-target columns are untouched.
+    Masked voxels move toward the row max, unmasked voxels toward the
+    row min; non-target rows are untouched. With ``in_place`` the result
+    overwrites ``logits``.
     """
     if not 0.0 <= beta2 <= 1.0:
         raise ValueError(f"beta2 must be in [0, 1], got {beta2}")
     if beta2 == 0.0:
         return logits
-    sub = logits[:, tar_cols]
-    col_max = sub.max(axis=0, keepdims=True)
-    col_min = sub.min(axis=0, keepdims=True)
-    pulled = np.where(rows[:, None], col_max, col_min)
-    out = logits.copy()
-    out[:, tar_cols] = (1.0 - beta2) * sub + beta2 * pulled
+    sub = logits[tar_rows]
+    row_max = sub.max(axis=1, keepdims=True)
+    row_min = sub.min(axis=1, keepdims=True)
+    pulled = np.where(mask_cols[None, :], row_max, row_min)
+    out = logits if in_place else logits.copy()
+    out[tar_rows] = _convex_step(sub, pulled, beta2)
     return out
 
 
@@ -168,8 +184,8 @@ def apply_sar(
 
     Outside the active window (t < tau_fraction * t_max) or off the
     configured layers, and when both passes are no-ops, the input array
-    itself is returned. Inside the window the mask becomes the row selector
-    and the target tokens the column selector, once for both passes.
+    itself is returned. Inside the window the mask becomes the column
+    selector and the target tokens the row selector, once for both passes.
     """
     if t < cfg.tau_fraction * grid.t_max or not cfg.applies_to_layer(layer):
         return logits
@@ -179,11 +195,14 @@ def apply_sar(
             "tokens everywhere; check the mask input",
             stacklevel=2,
         )
-    rows = mask.flat()
-    if rows.size != logits.shape[0]:
+    mask_cols = mask.flat()
+    if mask_cols.size != logits.shape[1]:
         raise ShapeMismatchError(
-            f"mask has {rows.size} voxels but the logit matrix has {logits.shape[0]} rows"
+            f"mask has {mask_cols.size} voxels but the logit array has {logits.shape[1]} columns"
         )
-    tar_cols = j_tar.column_selector(logits.shape[1])
-    refined = text_token_modulation(logits, rows, tar_cols, cfg.beta1)
-    return spatiotemporal_modulation(refined, rows, tar_cols, cfg.beta2)
+    tar_rows = j_tar.token_selector(logits.shape[0])
+    refined = text_token_modulation(logits, mask_cols, tar_rows, cfg.beta1)
+    # a refined array is the first pass's own copy, so the second pass may overwrite it
+    return spatiotemporal_modulation(
+        refined, mask_cols, tar_rows, cfg.beta2, in_place=refined is not logits
+    )

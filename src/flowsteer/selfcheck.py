@@ -45,42 +45,43 @@ class CriterionResult:
 
 
 def _random_sar_case(rng: RngStream, max_voxels=16, max_tokens=6):
+    """(L, N) logits, mask column selector and target row selector."""
     voxels = 4 + int(rng.uniforms(1)[0] * (max_voxels - 4))
     tokens = 2 + int(rng.uniforms(1)[0] * (max_tokens - 2))
-    logits = rng.normals(voxels * tokens).astype(np.float32).reshape(voxels, tokens)
-    rows = rng.uniforms(voxels) < 0.5
+    logits = rng.normals(voxels * tokens).astype(np.float32).reshape(voxels, tokens).T
+    cols = rng.uniforms(voxels) < 0.5
     n_tar = 1 + int(rng.uniforms(1)[0] * (tokens - 1) * 0.49)
     order = np.argsort(rng.uniforms(tokens))
-    tar_cols = np.zeros(tokens, dtype=bool)
-    tar_cols[order[:n_tar]] = True
-    return logits, rows, tar_cols
+    tar_rows = np.zeros(tokens, dtype=bool)
+    tar_rows[order[:n_tar]] = True
+    return logits, cols, tar_rows
 
 
 def check_sar_range_preservation() -> tuple[bool, str]:
-    """10,000 random cases: step 1 stays in row extrema, step 2 in column
+    """10,000 random cases: step 1 stays in token extrema, step 2 in voxel
     extrema, up to 4 ulp."""
     rng = RngStream(101)
     worst = 0.0
     for _ in range(10_000):
-        logits, rows, tar_cols = _random_sar_case(rng)
+        logits, cols, tar_rows = _random_sar_case(rng)
         b1, b2 = (float(v) for v in rng.uniforms(2))
-        step1 = text_token_modulation(logits, rows, tar_cols, b1)
-        lo = logits.min(axis=1, keepdims=True)
-        hi = logits.max(axis=1, keepdims=True)
+        step1 = text_token_modulation(logits, cols, tar_rows, b1)
+        lo = logits.min(axis=0, keepdims=True)
+        hi = logits.max(axis=0, keepdims=True)
         slack = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         if ((step1 < lo - slack) | (step1 > hi + slack)).any():
-            return False, "step 1 left the row extrema"
+            return False, "step 1 left the token extrema"
         worst = max(
             worst,
             float((lo - step1).max()),
             float((step1 - hi).max()),
         )
-        step2 = spatiotemporal_modulation(step1, rows, tar_cols, b2)
-        for j in np.flatnonzero(tar_cols):
-            col = step1[:, j]
-            cs = 4 * np.spacing(np.maximum(np.abs(col.min()), np.abs(col.max())))
-            if (step2[:, j] < col.min() - cs).any() or (step2[:, j] > col.max() + cs).any():
-                return False, "step 2 left the column extrema"
+        step2 = spatiotemporal_modulation(step1, cols, tar_rows, b2)
+        for j in np.flatnonzero(tar_rows):
+            row = step1[j]
+            rs = 4 * np.spacing(np.maximum(np.abs(row.min()), np.abs(row.max())))
+            if (step2[j] < row.min() - rs).any() or (step2[j] > row.max() + rs).any():
+                return False, "step 2 left the voxel extrema"
     return True, f"10000 cases, worst excess {worst:.2e}"
 
 
@@ -88,27 +89,27 @@ def check_sar_endpoints() -> tuple[bool, str]:
     """1,000 random maps: beta 0 is a bitwise identity, beta 1 assigns extrema."""
     rng = RngStream(202)
     for _ in range(1_000):
-        logits, rows, tar_cols = _random_sar_case(rng)
-        ident = text_token_modulation(logits, rows, tar_cols, 0.0)
+        logits, cols, tar_rows = _random_sar_case(rng)
+        ident = text_token_modulation(logits, cols, tar_rows, 0.0)
         if ident.tobytes() != logits.tobytes():
             return False, "beta1=0 changed the logits"
-        ident2 = spatiotemporal_modulation(logits, rows, tar_cols, 0.0)
+        ident2 = spatiotemporal_modulation(logits, cols, tar_rows, 0.0)
         if ident2.tobytes() != logits.tobytes():
             return False, "beta2=0 changed the logits"
-        pinned = text_token_modulation(logits, rows, tar_cols, 1.0)
+        pinned = text_token_modulation(logits, cols, tar_rows, 1.0)
         expect = np.where(
-            tar_cols[None, :],
-            logits.max(axis=1, keepdims=True),
-            logits.min(axis=1, keepdims=True),
+            tar_rows[:, None],
+            logits.max(axis=0, keepdims=True),
+            logits.min(axis=0, keepdims=True),
         )
-        if rows.any() and not np.array_equal(pinned[rows], expect[rows]):
-            return False, "beta1=1 missed the row extrema"
-        pinned2 = spatiotemporal_modulation(logits, rows, tar_cols, 1.0)
-        for j in np.flatnonzero(tar_cols):
-            col = logits[:, j]
-            want = np.where(rows, col.max(), col.min())
-            if not np.array_equal(pinned2[:, j], want):
-                return False, "beta2=1 missed the column extrema"
+        if cols.any() and not np.array_equal(pinned[:, cols], expect[:, cols]):
+            return False, "beta1=1 missed the token extrema"
+        pinned2 = spatiotemporal_modulation(logits, cols, tar_rows, 1.0)
+        for j in np.flatnonzero(tar_rows):
+            row = logits[j]
+            want = np.where(cols, row.max(), row.min())
+            if not np.array_equal(pinned2[j], want):
+                return False, "beta2=1 missed the voxel extrema"
     return True, "1000 maps, both endpoints exact"
 
 

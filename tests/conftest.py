@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from flowsteer import RngStream, VideoLatent
+
+# Hypothesis imports its patch writer (and through it libcst and mypy_extensions)
+# only when a @given test fails; under filterwarnings = error the DeprecationWarning
+# of that import would stop the whole session with INTERNALERROR. Import it here,
+# with that third-party warning silenced, so a failing property test is reported
+# as a failure and the tests after it still run.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowsteer import EditMask, RngStream, TimeGrid
 from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import (
-    _row_extreme,
+    _token_extreme,
     SarConfig,
     TargetTokenSet,
     apply_sar,
@@ -29,7 +29,8 @@ def mask_from(bits, dims=None):
 
 
 def random_case(rng: RngStream, voxels: int, tokens: int):
-    logits = rng.normals(voxels * tokens).reshape(voxels, tokens)
+    """(L, N) logits, an N-voxel mask and a target token set."""
+    logits = rng.normals(voxels * tokens).reshape(tokens, voxels)
     mask_bits = (rng.uniforms(voxels) < 0.5).astype(np.uint8)
     n_tar = 1 + int(rng.uniforms(1)[0] * (tokens - 1) * 0.5)
     order = np.argsort(rng.uniforms(tokens))
@@ -38,37 +39,37 @@ def random_case(rng: RngStream, voxels: int, tokens: int):
 
 
 def random_pass_case(rng: RngStream, voxels: int, tokens: int):
-    """A random case as the passes see it: logits, row selector, column selector."""
+    """A random case as the passes see it: logits, mask columns, target rows."""
     logits, mask, j_tar = random_case(rng, voxels, tokens)
-    return logits, mask.flat(), j_tar.column_selector(tokens)
+    return logits, mask.flat(), j_tar.token_selector(tokens)
 
 
 class TestTextTokenModulation:
     def test_beta_zero_is_identity(self):
-        logits, rows, tar = random_pass_case(RngStream(1), 8, 4)
-        out = text_token_modulation(logits, rows, tar, 0.0)
+        logits, cols, tar = random_pass_case(RngStream(1), 8, 4)
+        out = text_token_modulation(logits, cols, tar, 0.0)
         assert out is logits
 
     def test_beta_one_assigns_extrema(self):
-        logits, rows, tar = random_pass_case(RngStream(2), 8, 4)
-        out = text_token_modulation(logits, rows, tar, 1.0)
+        logits, cols, tar = random_pass_case(RngStream(2), 8, 4)
+        out = text_token_modulation(logits, cols, tar, 1.0)
         expect = np.where(
-            tar[None, :],
-            logits[rows].max(axis=1, keepdims=True),
-            logits[rows].min(axis=1, keepdims=True),
+            tar[:, None],
+            logits[:, cols].max(axis=0, keepdims=True),
+            logits[:, cols].min(axis=0, keepdims=True),
         )
-        assert np.array_equal(out[rows], expect)
-        assert np.array_equal(out[~rows], logits[~rows])
+        assert np.array_equal(out[:, cols], expect)
+        assert np.array_equal(out[:, ~cols], logits[:, ~cols])
 
     def test_hand_case(self):
-        # masked row [0.2, 0.5, 0.3], first token is the target, beta1 = 0.3:
+        # masked voxel column [0.2, 0.5, 0.3], first token is the target, beta1 = 0.3:
         # target 0.2 + 0.3*(0.5 - 0.2) = 0.29, others pulled toward min 0.2
-        logits = logits_from([[0.2, 0.5, 0.3]])
+        logits = logits_from([[0.2], [0.5], [0.3]])
         out = text_token_modulation(logits, np.array([True]), np.array([True, False, False]), 0.3)
-        assert np.allclose(out, [[0.29, 0.41, 0.27]], atol=1e-12)
+        assert np.allclose(out, [[0.29], [0.41], [0.27]], atol=1e-12)
 
     def test_unmasked_rows_untouched(self):
-        logits = logits_from([[0.2, 0.5, 0.3]])
+        logits = logits_from([[0.2], [0.5], [0.3]])
         out = text_token_modulation(logits, np.array([False]), np.array([True, False, False]), 0.9)
         assert out is logits
 
@@ -78,7 +79,7 @@ class TestTextTokenModulation:
 
 
 def reduce_text_token_modulation(logits, rows, tar_cols, beta1):
-    """The ufunc.reduce form of text_token_modulation, kept as the oracle."""
+    """The row-major (N, L) ufunc.reduce form of text_token_modulation, kept as the oracle."""
     sub = logits[rows]
     row_max = sub.max(axis=1, keepdims=True)
     row_min = sub.min(axis=1, keepdims=True)
@@ -98,27 +99,36 @@ def assert_same_bits(new, old, zero_sign_free=False):
     assert new[nonzero].tobytes() == old[nonzero].tobytes()
 
 
+def token_major(logits):
+    """The (L, N) token-major copy of a row-major (N, L) logit matrix."""
+    return np.ascontiguousarray(logits.T)
+
+
 class TestRowExtreme:
-    # The token loop equals numpy's reduction bit for bit, except the sign of a
-    # zero extremum from a +0/-0 tie: numpy's SIMD reduction resolves that tie
-    # differently when the row length is 1 plus a multiple of its vector width
-    # (L = 17 on AVX-512), so signed-zero rows are compared up to zero signs.
+    # The token loop equals numpy's reduction of the row-major matrix bit for
+    # bit, except the sign of a zero extremum from a +0/-0 tie: numpy's SIMD
+    # reduction resolves that tie differently when the row length is 1 plus a
+    # multiple of its vector width (L = 17 on AVX-512), so signed-zero rows are
+    # compared up to zero signs.
     @pytest.mark.parametrize("voxels", ORACLE_VOXELS)
     @pytest.mark.parametrize("kind", ["finite", "nonfinite", "signed_zero"])
     def test_matches_reduce(self, kind, voxels):
         for tokens in ORACLE_TOKENS:
             logits = special_logits(voxels, tokens, kind)
             for ufunc in (np.maximum, np.minimum):
-                got = _row_extreme(logits, ufunc)
-                assert got.shape == (voxels, 1) and got.dtype == logits.dtype
-                want = ufunc.reduce(logits, axis=1, keepdims=True)
+                got = _token_extreme(token_major(logits), ufunc)
+                assert got.shape == (voxels,) and got.dtype == logits.dtype
+                want = ufunc.reduce(logits, axis=1)
                 assert_same_bits(got, want, zero_sign_free=kind == "signed_zero")
+                into = np.full(voxels, np.nan, logits.dtype)
+                assert _token_extreme(token_major(logits), ufunc, out=into) is into
+                assert into.tobytes() == got.tobytes()
 
     def test_leaves_input_unchanged(self):
-        logits = special_logits(320, 9, "finite")
+        logits = token_major(special_logits(320, 9, "finite"))
         before = logits.copy()
-        _row_extreme(logits, np.maximum)
-        _row_extreme(logits, np.minimum)
+        _token_extreme(logits, np.maximum)
+        _token_extreme(logits, np.minimum)
         assert logits.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("voxels", ORACLE_VOXELS)
@@ -127,44 +137,52 @@ class TestRowExtreme:
         rows = np.arange(voxels) % 4 != 1
         for tokens in ORACLE_TOKENS:
             logits = special_logits(voxels, tokens, kind, seed=1)
-            tar = TargetTokenSet.of(0, tokens // 2).column_selector(tokens)
+            tar = TargetTokenSet.of(0, tokens // 2).token_selector(tokens)
             with np.errstate(all="ignore"):
-                got = text_token_modulation(logits, rows, tar, 0.3)
-                want = reduce_text_token_modulation(logits, rows, tar, 0.3)
+                got = text_token_modulation(token_major(logits), rows, tar, 0.3)
+                want = token_major(reduce_text_token_modulation(logits, rows, tar, 0.3))
             assert got.dtype == want.dtype
             assert_same_bits(got, want, zero_sign_free=kind == "signed_zero")
 
 
 class TestSpatiotemporalModulation:
     def test_beta_zero_is_identity(self):
-        logits, rows, tar = random_pass_case(RngStream(3), 8, 4)
-        out = spatiotemporal_modulation(logits, rows, tar, 0.0)
+        logits, cols, tar = random_pass_case(RngStream(3), 8, 4)
+        out = spatiotemporal_modulation(logits, cols, tar, 0.0)
         assert out is logits
 
     def test_hand_case(self):
-        # target column [1, 4], voxel 0 masked, voxel 1 not, beta2 = 0.5
-        logits = logits_from([[1.0], [4.0]])
+        # target token row [1, 4], voxel 0 masked, voxel 1 not, beta2 = 0.5
+        logits = logits_from([[1.0, 4.0]])
         out = spatiotemporal_modulation(logits, np.array([True, False]), np.array([True]), 0.5)
-        assert np.allclose(out, [[2.5], [2.5]], atol=1e-12)
+        assert np.allclose(out, [[2.5, 2.5]], atol=1e-12)
 
     def test_beta_one_assigns_extrema(self):
-        logits, rows, tar = random_pass_case(RngStream(4), 10, 3)
-        out = spatiotemporal_modulation(logits, rows, tar, 1.0)
+        logits, cols, tar = random_pass_case(RngStream(4), 10, 3)
+        out = spatiotemporal_modulation(logits, cols, tar, 1.0)
         for j in np.flatnonzero(tar):
-            col = logits[:, j]
-            assert np.array_equal(out[rows, j], np.full(rows.sum(), col.max()))
-            assert np.array_equal(out[~rows, j], np.full((~rows).sum(), col.min()))
+            row = logits[j]
+            assert np.array_equal(out[j, cols], np.full(cols.sum(), row.max()))
+            assert np.array_equal(out[j, ~cols], np.full((~cols).sum(), row.min()))
 
     def test_non_target_columns_untouched(self):
-        logits, rows, _ = random_pass_case(RngStream(5), 10, 4)
-        out = spatiotemporal_modulation(logits, rows, TargetTokenSet.of(1).column_selector(4), 0.7)
+        logits, cols, _ = random_pass_case(RngStream(5), 10, 4)
+        out = spatiotemporal_modulation(logits, cols, TargetTokenSet.of(1).token_selector(4), 0.7)
         keep = [0, 2, 3]
-        assert np.array_equal(out[:, keep], logits[:, keep])
+        assert np.array_equal(out[keep], logits[keep])
+
+    def test_in_place_writes_its_input_with_the_same_bits(self):
+        logits, cols, tar = random_pass_case(RngStream(5), 10, 4)
+        want = spatiotemporal_modulation(logits, cols, tar, 0.7)
+        inout = logits.copy()
+        assert spatiotemporal_modulation(inout, cols, tar, 0.7, in_place=True) is inout
+        assert inout.tobytes() == want.tobytes()
 
 
 def scalar_reference_sar(logits, mask_bits, targets, beta1, beta2):
-    """Independent entry-by-entry evaluation of both modulation formulas."""
-    a = np.array(logits, dtype=np.float64)
+    """Independent entry-by-entry evaluation of both modulation formulas on
+    (L, N) logits, returned as (L, N)."""
+    a = np.array(logits, dtype=np.float64).T
     n, tokens = a.shape
     a1 = a.copy()
     for i in range(n):
@@ -184,7 +202,7 @@ def scalar_reference_sar(logits, mask_bits, targets, beta1, beta2):
                 a2[i, j] = a1[i, j] + beta2 * (col_max - a1[i, j])
             else:
                 a2[i, j] = a1[i, j] - beta2 * (a1[i, j] - col_min)
-    return a2
+    return a2.T
 
 
 class TestApplySar:
@@ -211,7 +229,7 @@ class TestApplySar:
         assert not np.array_equal(out2, logits)
 
     def test_matches_scalar_reference(self):
-        logits = logits_from([[0.2, -0.1], [0.4, 0.9]])
+        logits = logits_from([[0.2, 0.4], [-0.1, 0.9]])
         mask = mask_from([1, 0])
         j_tar = TargetTokenSet.of(0)
         cfg = SarConfig(beta1=0.3, beta2=0.3, tau_fraction=0.6)
@@ -239,12 +257,12 @@ class TestApplySar:
             out = apply_sar(logits, empty, j_tar, cfg, t=1.0, grid=self.GRID)
         # step 2 still pulls target columns toward their minima
         j = sorted(j_tar.indices)[0]
-        assert not np.array_equal(out[:, j], logits[:, j])
+        assert not np.array_equal(out[j], logits[j])
 
     def test_mask_voxel_count_must_match_logit_rows(self):
         logits, _, j_tar = random_case(RngStream(10), 6, 3)
         mask = mask_from([1, 0] * 4, dims=(2, 2, 2))
-        with pytest.raises(ShapeMismatchError, match="mask has 8 voxels but .* has 6 rows"):
+        with pytest.raises(ShapeMismatchError, match="mask has 8 voxels but .* has 6 columns"):
             apply_sar(logits, mask, j_tar, SarConfig(), t=1.0, grid=self.GRID)
 
 
@@ -252,61 +270,62 @@ class TestInvariants:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b1=st.floats(0, 1))
     def test_step1_range_preservation(self, seed, b1):
-        logits, rows, tar = random_pass_case(RngStream(seed), 9, 5)
-        out = text_token_modulation(logits, rows, tar, b1)
-        lo = logits.min(axis=1, keepdims=True)
-        hi = logits.max(axis=1, keepdims=True)
+        logits, cols, tar = random_pass_case(RngStream(seed), 9, 5)
+        out = text_token_modulation(logits, cols, tar, b1)
+        lo = logits.min(axis=0, keepdims=True)
+        hi = logits.max(axis=0, keepdims=True)
         eps = 4 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
         assert (out >= lo - eps).all() and (out <= hi + eps).all()
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), b2=st.floats(0, 1))
     def test_step2_range_preservation(self, seed, b2):
-        logits, rows, tar = random_pass_case(RngStream(seed), 9, 5)
-        out = spatiotemporal_modulation(logits, rows, tar, b2)
+        logits, cols, tar = random_pass_case(RngStream(seed), 9, 5)
+        out = spatiotemporal_modulation(logits, cols, tar, b2)
         for j in np.flatnonzero(tar):
-            col = logits[:, j]
-            eps = 4 * np.spacing(max(abs(col.min()), abs(col.max())))
-            assert (out[:, j] >= col.min() - eps).all()
-            assert (out[:, j] <= col.max() + eps).all()
+            row = logits[j]
+            eps = 4 * np.spacing(max(abs(row.min()), abs(row.max())))
+            assert (out[j] >= row.min() - eps).all()
+            assert (out[j] <= row.max() + eps).all()
 
     def test_step1_contrast_monotonicity(self):
         rng = RngStream(11)
         for _ in range(50):
-            logits, rows, tar_cols = random_pass_case(rng, 8, 5)
-            out = text_token_modulation(logits, rows, tar_cols, 0.4)
-            tar = np.flatnonzero(tar_cols)[0]
-            non = np.flatnonzero(~tar_cols)[0]
-            for i in np.nonzero(rows)[0]:
-                before = logits[i, tar] - logits[i, non]
-                after = out[i, tar] - out[i, non]
+            logits, cols, tar_rows = random_pass_case(rng, 8, 5)
+            out = text_token_modulation(logits, cols, tar_rows, 0.4)
+            tar = np.flatnonzero(tar_rows)[0]
+            non = np.flatnonzero(~tar_rows)[0]
+            for i in np.nonzero(cols)[0]:
+                before = logits[tar, i] - logits[non, i]
+                after = out[tar, i] - out[non, i]
                 assert after >= before - 1e-12
 
     def test_locality(self):
         logits, mask, j_tar = random_case(RngStream(12), 10, 5)
         cfg = SarConfig(beta1=0.8, beta2=0.8)
         out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=TimeGrid.uniform(4))
-        rows = mask.flat()
-        non_target = ~j_tar.column_selector(5)
-        untouched = out[np.ix_(~rows, non_target)]
-        assert np.array_equal(untouched, logits[np.ix_(~rows, non_target)])
+        cols = mask.flat()
+        non_target = ~j_tar.token_selector(5)
+        untouched = out[np.ix_(non_target, ~cols)]
+        assert np.array_equal(untouched, logits[np.ix_(non_target, ~cols)])
 
     def test_step1_monotone_in_entry(self):
         # raising an interior entry (extrema fixed) never lowers its output
-        base = logits_from([[0.0, 0.4, 1.0]])
-        bumped = logits_from([[0.0, 0.5, 1.0]])
-        rows, tar = np.array([True]), np.array([False, True, False])
-        lo = text_token_modulation(base, rows, tar, 0.7)[0, 1]
-        hi = text_token_modulation(bumped, rows, tar, 0.7)[0, 1]
+        base = logits_from([[0.0], [0.4], [1.0]])
+        bumped = logits_from([[0.0], [0.5], [1.0]])
+        cols, tar = np.array([True]), np.array([False, True, False])
+        lo = text_token_modulation(base, cols, tar, 0.7)[1, 0]
+        hi = text_token_modulation(bumped, cols, tar, 0.7)[1, 0]
         assert hi >= lo
 
     def test_softmax_of_modulated_logits_is_probability(self):
-        from flowsteer.backends import _softmax_rows
+        from flowsteer.backends import _softmax_tokens
 
         logits, mask, j_tar = random_case(RngStream(13), 12, 6)
         out = apply_sar(
             logits, mask, j_tar, SarConfig(beta1=0.9, beta2=0.9), t=1.0,
             grid=TimeGrid.uniform(4),
         )
-        probs = _softmax_rows(out)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        probs = _softmax_tokens(out, np.empty_like(out), np.empty(12), np.empty((8, 12)))
+        assert (probs >= 0).all()
+        assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-6)
