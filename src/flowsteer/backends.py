@@ -19,6 +19,17 @@ result is never one of them. Its token sum repeats numpy's pairwise order,
 so the token-major layout gives the bits of the row-major one wherever
 numpy runs the products through BLAS gemm (C >= 2 and query width >= 2).
 
+The toy field's three matrix products run in column blocks with
+M*K*width <= 2**18, the size up to which OpenBLAS runs a gemm on the
+calling thread. Above it OpenBLAS hands the product to its own worker
+threads, which spin between calls: a toy edit then burned about twice its
+wall time in CPU, and the CPU that the editing loop gives to the next
+step's noise draw (see ``engine``) was taken. A gemm's columns are
+independent, so a block gives the same bits as the whole product. Products
+with M = 1 or K = 1 stay whole: numpy sends those to gemv, whose sums a
+block would reorder. No BLAS setting is touched, so other users of BLAS in
+the process see no change.
+
 An edit evaluates exactly two conditions, so ``BackendRegistry`` holds the
 source/target pair and a ``VelocityQuery`` names its role, ``"source"`` or
 ``"target"``.
@@ -237,6 +248,27 @@ def _toy_buffers(key: tuple[tuple[int, ...], tuple[int, ...]]) -> _ToyBuffers:
     return bufs
 
 
+# OpenBLAS runs a gemm on one thread while M*N*K <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD.
+_SERIAL_GEMM = 65536 * 4
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` for 2-d operands, in near-equal column blocks
+    of ``b`` and ``out`` with M*K*width <= ``_SERIAL_GEMM``. Products with M = 1
+    or K = 1 run whole, as do those with M*K > ``_SERIAL_GEMM`` / 4, whose
+    blocks could come out one column wide: numpy would send those to gemv."""
+    m, k = a.shape
+    n = b.shape[1]
+    width = _SERIAL_GEMM // (m * k)
+    if m == 1 or k == 1 or width < 4 or n <= width:
+        return np.matmul(a, b, out=out)
+    blocks = -(-n // width)
+    for i in range(blocks):
+        lo, hi = i * n // blocks, (i + 1) * n // blocks
+        np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
 def _pairwise_sum(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     if n > 128:
@@ -323,13 +355,13 @@ def toy_attention_velocity(
     result = np.empty(state.shape, dtype=np.float32) if out is None else out
     for b in range(batch):
         feats = bufs.features(state, b)
-        np.matmul(cond.query_weights.T, feats, out=bufs.queries)
-        logits = np.matmul(cond.text_keys, bufs.queries, out=bufs.logits)
+        _matmul(cond.query_weights.T, feats, bufs.queries)
+        logits = _matmul(cond.text_keys, bufs.queries, bufs.logits)
         logits /= np.float32(cond.temperature)
         if hook is not None:
             logits = hook(logits, layer)
         probs = _softmax_tokens(logits, bufs.probs, bufs.shift, bufs.scratch)
-        np.matmul(cond.text_values.T, probs, out=result[b].reshape(channels, -1))
+        _matmul(cond.text_values.T, probs, result[b].reshape(channels, -1))
     return result
 
 

@@ -39,17 +39,22 @@ Conventions fixed here and relied on by every other module:
   Because draw ``k`` depends only on ``(seed, k)``, a normals draw is
   computed in fixed chunks of counter positions, and a draw of several
   chunks spreads them over helpers on ``POOL``, one persistent pool of one
-  thread per usable CPU, and the thread that joins the draw. A draw may be
-  started ahead (``RngStream.start_normals``): its helpers begin at once,
-  and the ``normals`` call that joins it fills whatever chunks are left,
-  so the editing loop starts the next step's noise while a step computes
-  (see ``engine``). A draw started on a ``POOL`` thread submits no helper,
-  so no pool task ever waits for another. Each Box-Muller value is
-  computed in float64 and written straight into an output of the caller's
-  dtype, rounding once, as a cast would. The values do not depend on the
-  chunk size, the number of threads, when a draw starts or the thread a
-  chunk runs on. A stream's ``counter`` is unguarded, so one stream object
-  must not be used by two callers at once.
+  thread per further usable CPU, and the thread that joins the draw. A
+  draw may be started ahead (``RngStream.start_normals``): its helpers
+  begin at once, one even for a single-chunk draw when a second CPU is
+  usable, and the ``normals`` call that joins it fills whatever chunks are
+  left, so the editing loop starts the next step's noise while a step
+  computes (see ``engine``). A draw started on a ``POOL`` thread submits
+  no helper, so no pool task ever waits for another. A thread fills a
+  chunk in blocks of at most 2**14 pairs, in a scratch buffer that no
+  other thread uses meanwhile and with a shared read-only ramp of counter
+  offsets, both kept across draws. Each Box-Muller value is computed in
+  float64 and written straight into an output of the caller's dtype,
+  rounding once, as a cast would. The values do not depend on the chunk or
+  block size, the number of threads, when a draw starts or the thread a
+  chunk runs on. Uniform draws of a few values and substream seeds are
+  computed on Python ints, with the same bits. A stream's ``counter`` is
+  unguarded, so one stream object must not be used by two callers at once.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -74,8 +80,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _U53_SCALE = float(2.0**-53)
 _SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
-# Counter pairs per chunk of a normals draw; a thread's scratch is 2 MiB.
+# Counter pairs per chunk of a normals draw, the unit a thread takes.
 _CHUNK_PAIRS = 1 << 16
+# Pairs per block that a chunk is filled in; a fill's scratch is 512 KiB.
+_FILL_PAIRS = 1 << 14
+# Uniform draws of at most this many values run on Python ints, not numpy.
+_SMALL_DRAW = 16
+# Fewest values a draw needs for starting it ahead on ``POOL`` to pay.
+_AHEAD_MIN = 1 << 15
 
 # Times this far outside [0, 1] are treated as grid-construction noise.
 TIME_CLAMP_SLACK = 1e-12
@@ -221,6 +233,18 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mix64_ints(states: Iterable[int]) -> list[int]:
+    """``_mix64`` of each of ``states``, Python ints in [0, 2**64)."""
+    bits = []
+    for x in states:
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & _MASK64
+        bits.append(x ^ (x >> 31))
+    return bits
+
+
 def _raw_into(seed: int, first: int, ramp: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     """Draws ``first .. first + len(out) - 1`` of stream ``seed``, written into ``out``.
 
@@ -230,9 +254,17 @@ def _raw_into(seed: int, first: int, ramp: np.ndarray, out: np.ndarray, tmp: np.
     _mix64(out, tmp)
 
 
-def _gamma_ramp(n: int) -> np.ndarray:
+def _ramp(n: int) -> np.ndarray:
+    """``arange(n) * GAMMA`` as uint64."""
     ramp = np.arange(n, dtype=np.uint64)
-    np.multiply(ramp, np.uint64(_GAMMA), out=ramp)
+    return np.multiply(ramp, np.uint64(_GAMMA), out=ramp)
+
+
+@lru_cache(maxsize=16)
+def _gamma_ramp(n: int) -> np.ndarray:
+    """Read-only ``_ramp(n)``, shared by the draws that fill blocks of n / 2 pairs."""
+    ramp = _ramp(n)
+    ramp.flags.writeable = False
     return ramp
 
 
@@ -246,11 +278,26 @@ def _fill_chunk(
     scratch: np.ndarray,
 ) -> None:
     """Box-Muller pairs ``lo .. hi-1`` of a normals draw starting at ``counter``, written to
-    ``out[2*lo : 2*hi]``, or up to its end. ``scratch`` is a (2, >= 2 * (hi - lo)) uint64 array
-    owned by the caller.
+    ``out[2*lo : 2*hi]``, or up to its end, in blocks of ``len(ramp) // 2`` pairs. ``ramp``
+    is ``_gamma_ramp(len(ramp))`` and ``scratch`` a (2, >= len(ramp)) uint64 array that no
+    other thread uses meanwhile.
 
     Every transcendental runs on a contiguous float64 array, as in a one-shot draw.
     """
+    step = len(ramp) // 2
+    for start in range(lo, hi, step):
+        _fill_block(out, seed, counter, start, min(start + step, hi), ramp, scratch)
+
+
+def _fill_block(
+    out: np.ndarray,
+    seed: int,
+    counter: int,
+    lo: int,
+    hi: int,
+    ramp: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
     m = hi - lo
     bits, tmp = scratch[0, : 2 * m], scratch[1, : 2 * m]
     _raw_into(seed, counter + 2 * lo, ramp[: 2 * m], bits, tmp)
@@ -258,8 +305,8 @@ def _fill_chunk(
     radius, angle = tmp[:m].view(np.float64), tmp[m:].view(np.float64)
     np.add(bits[0::2], 1.0, out=radius)
     np.multiply(radius, _U53_SCALE, out=radius)
-    np.multiply(bits[1::2], _U53_SCALE, out=angle)
-    np.multiply(angle, 2.0 * math.pi, out=angle)
+    # u2 * 2pi in one rounding: scaling by 2**-53 is exact, before or after the product
+    np.multiply(bits[1::2], _U53_SCALE * (2.0 * math.pi), out=angle)
     np.log(radius, out=radius)
     np.multiply(radius, -2.0, out=radius)
     np.sqrt(radius, out=radius)
@@ -285,9 +332,29 @@ def _mark_pool_thread() -> None:
     _pool_thread.active = True
 
 
-# Shared by every multi-chunk draw. A task on it never waits for another task
-# on it: a draw started on one of its threads submits no helper.
-POOL = ThreadPoolExecutor(_usable_cpus(), "flowsteer", initializer=_mark_pool_thread)
+# Fill scratch that no thread is using. A thread takes one for as long as it
+# fills chunks, so there are never more than the most threads that ever filled
+# at once, and a draw-ahead whose helper and joiner take turns keeps one.
+_spare_scratch: list[np.ndarray] = []
+_spare_lock = threading.Lock()
+
+
+def _take_scratch(pairs: int) -> np.ndarray:
+    """A (2, 2 * pairs) uint64 fill scratch for the caller alone, until it hands
+    it back to ``_spare_scratch``; a spare of another block size is dropped."""
+    with _spare_lock:
+        buf = _spare_scratch.pop() if _spare_scratch else None
+    if buf is None or buf.shape[1] != 2 * pairs:
+        buf = np.empty((2, 2 * pairs), dtype=np.uint64)
+    return buf
+
+
+# Helpers of draws, one thread per further usable CPU: the thread that joins a
+# draw fills chunks too. A task on it never waits for another task on it: a
+# draw started on one of its threads submits no helper.
+POOL = ThreadPoolExecutor(
+    max(1, _usable_cpus() - 1), "flowsteer", initializer=_mark_pool_thread
+)
 
 
 def draw_spans_chunks(n: int) -> bool:
@@ -295,11 +362,25 @@ def draw_spans_chunks(n: int) -> bool:
     return (n + 1) // 2 > _CHUNK_PAIRS
 
 
+def draw_ahead_pays(n: int) -> bool:
+    """Whether a draw of ``n`` normals is worth starting ahead: it spans several
+    chunks, or it has at least ``_AHEAD_MIN`` values and a second CPU can take it."""
+    return draw_spans_chunks(n) or (n >= _AHEAD_MIN and _usable_cpus() > 1)
+
+
 class _Draw:
     """One normals draw, whose chunks go to whichever thread asks next: the
-    ``POOL`` helpers submitted when it starts, and the thread that joins it."""
+    ``POOL`` helpers submitted when it starts, and the thread that joins it.
 
-    def __init__(self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None):
+    A draw of several chunks gets up to one helper per further usable CPU, and
+    one started ahead (``started``) gets one even for a single chunk, since the
+    thread that joins it is busy until then. A thread fills its chunks in
+    blocks of ``min(_CHUNK_PAIRS, _FILL_PAIRS)`` pairs, in a scratch it takes
+    from the spares, with the shared read-only ramp; both outlive the draw."""
+
+    def __init__(
+        self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None, started=False
+    ):
         self.seed, self.counter, self.n, self.dtype = seed, counter, n, np.dtype(dtype)
         if out is None:
             out = np.empty(n, dtype=self.dtype)
@@ -309,28 +390,35 @@ class _Draw:
         self.pairs = (n + 1) // 2
         self.end = counter + 2 * self.pairs
         starts = range(0, self.pairs, _CHUNK_PAIRS)
-        self._ramp = _gamma_ramp(2 * min(self.pairs, _CHUNK_PAIRS))
-        inline = not draw_spans_chunks(n) or getattr(_pool_thread, "active", False)
-        workers = 1 if inline else min(len(starts), _usable_cpus())
-        # Allocated here, not in the helpers, so no pool thread's malloc arena keeps it.
-        self._scratch = np.empty((workers, 2, len(self._ramp)), dtype=np.uint64)
+        self._block = min(_CHUNK_PAIRS, _FILL_PAIRS)
+        self._ramp = _gamma_ramp(2 * min(self.pairs, self._block))
+        helpers = 0
+        if (started or len(starts) > 1) and not getattr(_pool_thread, "active", False):
+            helpers = min(len(starts) - (not started), _usable_cpus() - 1)
         self._todo = iter(starts)
         self._lock = threading.Lock()
-        self._helpers = [POOL.submit(self._fill, worker) for worker in range(1, workers)]
+        self._helpers = [POOL.submit(self._fill) for _ in range(helpers)]
 
-    def _fill(self, worker: int) -> None:
-        while True:
-            with self._lock:
-                lo = next(self._todo, None)
-            if lo is None:
-                return
-            hi = min(lo + _CHUNK_PAIRS, self.pairs)
-            scratch = self._scratch[worker]
-            try:
-                _fill_chunk(self.out, self.seed, self.counter, lo, hi, self._ramp, scratch)
-            except BaseException:
-                self._stop()
-                raise
+    def _fill(self) -> None:
+        scratch = None  # taken with the first chunk, so a thread that finds none takes none
+        try:
+            while True:
+                with self._lock:
+                    lo = next(self._todo, None)
+                if lo is None:
+                    return
+                if scratch is None:
+                    scratch = _take_scratch(self._block)
+                hi = min(lo + _CHUNK_PAIRS, self.pairs)
+                try:
+                    _fill_chunk(self.out, self.seed, self.counter, lo, hi, self._ramp, scratch)
+                except BaseException:
+                    self._stop()
+                    raise
+        finally:
+            if scratch is not None:
+                with _spare_lock:
+                    _spare_scratch.append(scratch)
 
     def _stop(self) -> None:
         """Hand out no further chunk."""
@@ -346,7 +434,7 @@ class _Draw:
         """Fill every chunk no helper has taken, then return ``out`` or raise
         the first helper error."""
         try:
-            self._fill(0)
+            self._fill()
         finally:
             errors = self._settle()
         for error in errors:
@@ -374,9 +462,9 @@ class RngStream:
     pairs. A draw of more than one chunk hands its chunks out to up to one
     ``POOL`` helper per further usable CPU, unless it starts on a ``POOL``
     thread, and to the thread that joins it. ``start_normals`` submits the
-    helpers of a draw early, and the matching ``normals`` call joins it. The
-    values do not depend on the chunk size, on when a draw starts, or on
-    which thread computes which chunk.
+    helpers of a draw early, one even for a single chunk, and the matching
+    ``normals`` call joins it. The values do not depend on the chunk size, on
+    when a draw starts, or on which thread computes which chunk.
     """
 
     seed: int
@@ -387,13 +475,22 @@ class RngStream:
         self.seed = int(self.seed) & _MASK64
 
     def _raw(self, n: int) -> np.ndarray:
-        bits = _gamma_ramp(n)
+        bits = _ramp(n)
         _raw_into(self.seed, self.counter, bits, bits, np.empty_like(bits))
         self.counter += n
         return bits
 
+    def _raw_ints(self, n: int) -> list[int]:
+        """``_raw(n)`` as Python ints, cheaper for a few values."""
+        start = self.seed + (self.counter + 1) * _GAMMA
+        self.counter += n
+        return _mix64_ints([(start + i * _GAMMA) & _MASK64 for i in range(n)])
+
     def uniforms(self, n: int) -> np.ndarray:
-        """n float64 values in [0, 1)."""
+        """n float64 values in [0, 1). Up to ``_SMALL_DRAW`` of them are computed on
+        Python ints, with the same bits: ``>> 11`` and the scaling are exact."""
+        if n <= _SMALL_DRAW:
+            return np.array([(v >> 11) * _U53_SCALE for v in self._raw_ints(n)], dtype=np.float64)
         return np.asarray(self._raw(n) >> _SHIFT_11, dtype=np.float64) * _U53_SCALE
 
     def start_normals(self, n: int, dtype=np.float64, out: np.ndarray | None = None) -> None:
@@ -405,7 +502,7 @@ class RngStream:
         ``n`` elements of ``dtype``, receives the draw in place of a new array.
         """
         counter = self._started[-1].end if self._started else self.counter
-        self._started.append(_Draw(self.seed, counter, n, dtype, out))
+        self._started.append(_Draw(self.seed, counter, n, dtype, out, started=True))
 
     def normals(self, n: int, dtype=np.float64) -> np.ndarray:
         """n standard normals via Box-Muller, as ``dtype``; consumes 2*ceil(n/2) draws.
@@ -442,10 +539,9 @@ class RngStream:
         """Independent child stream; deterministic in (seed, index)."""
         if index < 0:
             raise ValueError("substream index must be >= 0")
-        base = np.array([self.seed ^ _SPLIT_SALT], dtype=np.uint64)
-        _mix64(base, np.empty_like(base))
+        (base,) = _mix64_ints([self.seed ^ _SPLIT_SALT])
         # mix64(base + (index + 1) * GAMMA) is draw ``index`` of stream ``base``.
-        return RngStream(int(RngStream(int(base[0]), index)._raw(1)[0]))
+        return RngStream(RngStream(base, index)._raw_ints(1)[0])
 
 
 def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> np.ndarray:

@@ -26,16 +26,18 @@ Determinism and attribution: the run seed spawns one substream per step
 index, so a step's noise depends only on (seed, step index, draw index).
 Skipping more initial steps therefore changes the outcome only through the
 removed intervals, never by shifting noise onto different steps. The same
-property lets a run draw one step ahead: when one draw spans more than one
-RNG chunk, step k+1's draws are started as step k begins, their helpers
-fill chunks on ``core.POOL`` while step k computes, and step k+1's own
-``sample_gaussian`` calls fill the chunks left. Such a run also computes
-in place: a workspace of latent-size buffers, allocated once per run,
-takes each draw, state, velocity, signal and update through ``out=``, and
-each velocity is written into the buffer of its state. Smaller draws run
-on the calling thread, just before their step, and their steps allocate
-as they always have. Neither path changes a value: the in-place step
-repeats the same IEEE operations in the same order.
+property lets a run draw one step ahead: when a draw is worth a pool round
+trip (``core.draw_ahead_pays``: it spans more than one RNG chunk, or it has
+at least 2**15 values and a second CPU is usable), step k+1's draws are
+started as step k begins, their helpers fill chunks on ``core.POOL`` while
+step k computes, and step k+1's own ``sample_gaussian`` calls fill the
+chunks left. Desk-size draws run on the calling thread, just before their
+step. A run whose draws span more than one chunk also computes in place: a
+workspace of latent-size buffers, allocated once per run, takes each draw,
+state, velocity, signal and update through ``out=``, and each velocity is
+written into the buffer of its state. Smaller runs allocate their steps'
+arrays as they always have. Neither path changes a value: the in-place
+step repeats the same IEEE operations in the same order.
 
 Coupling is computed difference-first, ``(z_edit - x_src) + z_src``, which
 keeps the coupled state exactly on the pseudo-source path while the
@@ -57,6 +59,7 @@ from .core import (
     RngStream,
     TimeGrid,
     VideoLatent,
+    draw_ahead_pays,
     draw_spans_chunks,
     interpolate_source,
     sample_gaussian,
@@ -244,11 +247,11 @@ def run_edit(
 
     The state is checked for finiteness once per step, before the baseline
     blend; a non-finite state raises NonFiniteStateError naming the step.
-    A step's draws come from the run's substream of its index. When one
-    draw spans several RNG chunks, each next step's draws are started on
-    ``core.POOL`` as a step begins, and the step runs in place in buffers
-    allocated once per run; the run returns or raises only once no helper
-    of a started draw can still write.
+    A step's draws come from the run's substream of its index. When a draw
+    is worth a pool round trip, each next step's draws are started on
+    ``core.POOL`` as a step begins; when one spans several RNG chunks, the
+    step also runs in place in buffers allocated once per run. The run
+    returns or raises only once no helper of a started draw can still write.
     """
     if cfg.mask.shape != x_src.data.shape[2:]:
         raise ShapeMismatchError(
@@ -261,16 +264,17 @@ def run_edit(
     x = z_edit = x_src.data
     steps = list(cfg.grid.intervals())
     ws = _Workspace(x.shape) if draw_spans_chunks(x.size) else None
+    draw_ahead = draw_ahead_pays(x.size)
     ahead = None  # the next step's substream, its draws started
     try:
         for k, (index, t, t_next) in enumerate(steps):
             rng = run_rng.substream(index) if ahead is None else ahead
             noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
             ahead = None
-            if ws is not None and k + 1 < len(steps):
+            if draw_ahead and k + 1 < len(steps):
                 ahead = run_rng.substream(steps[k + 1][0])
                 for _ in range(cfg.n_avg):
-                    ahead.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
+                    ahead.start_normals(x.size, np.float32, out=ws and ws.take().reshape(-1))
             dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises, ws)
             contrast = contrast_map(dv, cfg.amm.epsilon)
             dv_amm = amplify(dv, contrast, gain, out=ws and ws.take())

@@ -49,6 +49,17 @@ class ToyFrameEmbedder:
 
     An all-zero frame has no direction; it maps to the first basis vector so
     the output is always exactly unit norm.
+
+    The frame is cut into near-equal blocks, at most ``grid`` by ``grid``;
+    their heights and widths take at most two values each. The blocks of
+    each of the (at most four) shapes are gathered into one array and summed
+    in one reduction, in the order numpy's own ``block.mean()`` of each
+    block view adds them, so the means are bit for bit those of a per-block
+    loop: a block that is contiguous in the frame is summed pairwise in one
+    run; any other in runs of as many whole rows as fit numpy's reduction
+    buffer (``np.getbufsize()`` values, or one row if it is longer), and the
+    runs' sums are added in order. A frame in another layout (columns not
+    adjacent, or rows reversed or overlapping) is copied to C order first.
     """
 
     def __init__(self, grid: int = 8):
@@ -61,13 +72,25 @@ class ToyFrameEmbedder:
         if img.ndim != 2:
             raise ShapeMismatchError(f"frame must be 2-d, got shape {img.shape}")
         h, w = img.shape
-        g = self.grid
-        pooled = np.empty((min(g, h), min(g, w)), dtype=np.float64)
-        rows = _partition(h, pooled.shape[0])
-        cols = _partition(w, pooled.shape[1])
-        for i, (r0, r1) in enumerate(rows):
-            for j, (c0, c1) in enumerate(cols):
-                pooled[i, j] = img[r0:r1, c0:c1].mean()
+        if img.strides[1] != img.itemsize or img.strides[0] < w * img.itemsize:
+            img = np.ascontiguousarray(img)
+        pooled = np.empty((min(self.grid, h), min(self.grid, w)), dtype=np.float64)
+        row_starts, row_sizes = _partition(h, pooled.shape[0])
+        col_starts, col_sizes = _partition(w, pooled.shape[1])
+        for bh in set(row_sizes.tolist()):
+            ri = np.flatnonzero(row_sizes == bh)
+            rows = row_starts[ri, None] + np.arange(bh)
+            for bw in set(col_sizes.tolist()):
+                ci = np.flatnonzero(col_sizes == bw)
+                cols = col_starts[ci, None] + np.arange(bw)
+                blocks = img[rows[:, None, :, None], cols[None, :, None, :]]
+                whole = bh == 1 or (bw == w and img.strides[0] == w * img.itemsize)
+                run = bh if whole else max(1, np.getbufsize() // bw)
+                sums = np.add.reduce(blocks[:, :, :run].reshape(len(ri), len(ci), -1), axis=-1)
+                for r in range(run, bh, run):
+                    part = blocks[:, :, r : r + run].reshape(len(ri), len(ci), -1)
+                    sums += np.add.reduce(part, axis=-1)
+                pooled[np.ix_(ri, ci)] = sums / (bh * bw)
         vec = pooled.reshape(-1)
         norm = np.linalg.norm(vec)
         if norm == 0.0:
@@ -77,10 +100,11 @@ class ToyFrameEmbedder:
         return vec / norm
 
 
-def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal blocks covering range(n)."""
-    bounds = [(i * n) // parts for i in range(parts + 1)]
-    return [(bounds[i], max(bounds[i + 1], bounds[i] + 1)) for i in range(parts)]
+def _partition(n: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and sizes of ``parts`` contiguous near-equal blocks covering
+    range(n), for 1 <= parts <= n."""
+    bounds = (np.arange(parts + 1) * n) // parts
+    return bounds[:-1], np.diff(bounds)
 
 
 def _check_video(video: np.ndarray, what: str) -> np.ndarray:

@@ -11,6 +11,8 @@ from flowsteer.backends import (
     ToyAttentionCondition,
     VelocityQuery,
     _LOCAL,
+    _SERIAL_GEMM,
+    _matmul,
     _softmax_tokens,
     _token_sum,
     _toy_buffers,
@@ -452,6 +454,62 @@ class TestToyBuffers:
         th.join(60)
         assert len(box) == 1 and box[0] is not own
         assert _LOCAL.toy is own
+
+
+class TestBlockedProducts:
+    """The toy products run in column blocks small enough for OpenBLAS to keep
+    each on the calling thread, with the bits of the whole product."""
+
+    @staticmethod
+    def _operands(m, k, n, transposed):
+        gen = np.random.default_rng(m * k + n)
+        a = gen.standard_normal((k, m) if transposed else (m, k)).astype(np.float32)
+        b = gen.standard_normal((k, n)).astype(np.float32)
+        return (a.T if transposed else a), b
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record (M, K, width) of every ``np.matmul`` call."""
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            calls.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return calls
+
+    @pytest.mark.parametrize("m,k", [(16, 4), (4, 7), (4, 16), (6, 4), (17, 3)])
+    @pytest.mark.parametrize("n", [63, 320, 4097, 65536, 100003])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bits_equal_the_whole_product(self, monkeypatch, m, k, n, transposed):
+        a, b = self._operands(m, k, n, transposed)
+        want = np.matmul(a, b)
+        calls = self._spy(monkeypatch)
+        got = _matmul(a, b, np.empty((m, n), dtype=np.float32))
+        assert got.tobytes() == want.tobytes()
+        assert sum(width for _, _, width in calls) == n
+        assert all(mm * kk * width <= _SERIAL_GEMM and width >= 2 for mm, kk, width in calls)
+
+    @pytest.mark.parametrize("m,k", [(1, 16), (1, 3), (16, 1), (4, 1)])
+    def test_gemv_shapes_stay_whole(self, monkeypatch, m, k):
+        a, b = self._operands(m, k, 100003, False)
+        want = np.matmul(a, b)
+        calls = self._spy(monkeypatch)
+        got = _matmul(a, b, np.empty((m, 100003), dtype=np.float32))
+        assert calls == [(m, k, 100003)]
+        assert got.tobytes() == want.tobytes()
+
+    def test_toy_velocity_calls_stay_under_the_threshold(self, monkeypatch):
+        src, _ = make_toy_condition_pair(7, 16, 4, 4, TargetTokenSet.of(2, 3))
+        state = random_latent(RngStream(4), (1, 4, 16, 32, 32)).data
+        want = toy_attention_velocity(state, 0.5, src)
+        calls = self._spy(monkeypatch)
+        got = toy_attention_velocity(state, 0.5, src)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) > 3
+        assert all(m * k * width <= _SERIAL_GEMM for m, k, width in calls)
 
 
 class TestDispatch:

@@ -346,11 +346,9 @@ class TestDrawAhead:
     values must not change."""
 
     @staticmethod
-    def _force_multi_chunk(monkeypatch):
-        """Shrink the RNG chunks and fix two workers per draw; returns the list
-        of (seed, counter) of the draw of every helper submitted to the pool."""
-        monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    def _counting_pool(monkeypatch):
+        """Returns the list of (seed, counter) of the draw of every helper
+        submitted to the pool."""
         submitted = []
         pool = core.POOL
 
@@ -362,6 +360,14 @@ class TestDrawAhead:
 
         monkeypatch.setattr(core, "POOL", CountingPool())
         return submitted
+
+    @classmethod
+    def _force_multi_chunk(cls, monkeypatch):
+        """Shrink the RNG chunks and fix two workers per draw; returns the list
+        of (seed, counter) of the draw of every helper submitted to the pool."""
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        return cls._counting_pool(monkeypatch)
 
     def _blend_cfg(self):
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
@@ -421,6 +427,47 @@ class TestDrawAhead:
         reg, cfg = self._case(backend)
         cfg = replace(cfg, baseline_blend=False, record_states=False)
         self._check_against_inline(make_latent(), cfg, reg, monkeypatch)
+
+    def test_toy_size_draws_ahead_with_a_second_cpu(self, make_latent, monkeypatch):
+        """Single-chunk draws of at least ``_AHEAD_MIN`` values, chunk size as
+        shipped: each next step's draws get one helper when a second CPU is
+        usable and none without one; desk-size draws are never started ahead."""
+        dims = (1, 2, 4, 64, 64)
+        x = random_latent(RngStream(6), dims)
+        assert x.data.size >= core._AHEAD_MIN and not core.draw_spans_chunks(x.data.size)
+        j_tar = TargetTokenSet.of(1)
+        src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
+        reg = BackendRegistry(src, tar)
+        bits = np.zeros(dims[2:], dtype=np.uint8)
+        bits[:, 8:40, 16:48] = 1
+        cfg = make_cfg(
+            grid=TimeGrid.uniform(8, skip=4),
+            mask=EditMask(bits),
+            j_tar=j_tar,
+            seed=21,
+            n_avg=2,
+            baseline_blend=True,
+            record_states=True,
+            record_contrast=True,
+        )
+        submitted = self._counting_pool(monkeypatch)
+        runs, helpers = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_usable_cpus", lambda cpus=cpus: cpus)
+            submitted.clear()
+            runs[cpus] = run_edit(x, cfg, reg)
+            helpers[cpus] = list(submitted)
+        assert helpers[1] == []
+        # steps 4..1 are active; the two draws of each of steps 3, 2 and 1 are started ahead
+        run_rng = RngStream(cfg.seed)
+        seeds = [run_rng.substream(index).seed for index in (3, 2, 1)]
+        assert helpers[2] == [(seed, counter) for seed in seeds for counter in (0, x.data.size)]
+        assert runs[2][0].data.tobytes() == runs[1][0].data.tobytes()
+        assert _report_bytes(runs[2][1]) == _report_bytes(runs[1][1])
+
+        submitted.clear()
+        run_edit(make_latent(), replace(cfg, mask=full_mask()), reg)
+        assert submitted == []
 
     def test_failure_mid_run_leaves_no_draw_running(self, make_latent, monkeypatch):
         submitted = self._force_multi_chunk(monkeypatch)

@@ -193,3 +193,79 @@ class TestToyEmbedder:
         emb = ToyFrameEmbedder(8)
         vec = emb.embed(np.ones((2, 3)))
         assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+
+
+def loop_embed(frame, grid):
+    """The per-block loop the embedder replaced: one ``.mean()`` per block view."""
+    img = np.asarray(frame, dtype=np.float64)
+    h, w = img.shape
+    pooled = np.empty((min(grid, h), min(grid, w)), dtype=np.float64)
+    rows = [(i * h) // pooled.shape[0] for i in range(pooled.shape[0] + 1)]
+    cols = [(j * w) // pooled.shape[1] for j in range(pooled.shape[1] + 1)]
+    for i in range(pooled.shape[0]):
+        for j in range(pooled.shape[1]):
+            pooled[i, j] = img[rows[i] : rows[i + 1], cols[j] : cols[j + 1]].mean()
+    vec = pooled.reshape(-1)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        out = np.zeros_like(vec)
+        out[0] = 1.0
+        return out
+    return vec / norm
+
+
+class TestEmbedderMatchesBlockLoop:
+    """The gathered block sums give the loop's bits, whether or not the grid
+    divides the frame, for contiguous frames, crops and float32 input."""
+
+    SHAPES = [
+        (8, 8, 8),
+        (4, 4, 8),
+        (16, 16, 8),
+        (24, 32, 8),
+        (64, 48, 8),
+        (9, 9, 3),
+        (16, 16, 4),
+        (13, 17, 8),
+        (5, 3, 8),
+        (7, 100, 8),
+        (100, 7, 3),
+        (1, 1, 8),
+        (33, 65, 8),
+        (120, 90, 1),
+        (600, 601, 2),  # blocks of more values than numpy's reduction buffer
+        (2, 9001, 1),
+        (3, 20001, 2),  # a block row longer than the buffer
+    ]
+
+    @staticmethod
+    def _frames(h, w, seed, special):
+        gen = np.random.default_rng(seed)
+        big = gen.standard_normal((h + 3, w + 5)) * 10.0 ** gen.uniform(-3, 3, (h + 3, w + 5))
+        if special:
+            flat = big.reshape(-1)
+            flat[gen.choice(flat.size, 6, replace=False)] = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        return big[:h, :w].copy(), big[1 : 1 + h, 2 : 2 + w], big[:h, :w].astype(np.float32)
+
+    @pytest.mark.parametrize("h,w,grid", SHAPES)
+    @pytest.mark.parametrize("special", [False, True])
+    def test_bits_equal_the_loop(self, h, w, grid, special):
+        emb = ToyFrameEmbedder(grid)
+        with np.errstate(invalid="ignore"):
+            for frame in self._frames(h, w, h * w + grid, special):
+                want, got = loop_embed(frame, grid), emb.embed(frame)
+                if special and np.isnan(want).all():
+                    assert np.isnan(got).all()
+                else:
+                    assert got.tobytes() == want.tobytes()
+
+    def test_signed_zero_and_infinite_blocks(self):
+        frame = np.zeros((4, 4))
+        frame[0, 0] = -0.0
+        frame[:2, 2:] = np.inf
+        frame[2:, :2] = -np.inf
+        with np.errstate(invalid="ignore"):  # the norm is inf
+            got, want = ToyFrameEmbedder(2).embed(frame), loop_embed(frame, 2)
+        assert got.tobytes() == want.tobytes()
+        zeros = np.full((3, 5), -0.0)
+        assert ToyFrameEmbedder(8).embed(zeros).tobytes() == loop_embed(zeros, 8).tobytes()

@@ -597,3 +597,156 @@ class TestTimeGrid:
         assert steps[0] == (3, 0.6, 0.4)
         assert steps[-1] == (1, 0.2, 0.0)
         assert g.active_steps == 3
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _oracle_uniforms(seed, counter, n):
+    idx = np.arange(counter, counter + n, dtype=np.uint64)
+    states = np.uint64(seed) + (idx + np.uint64(1)) * _GAMMA
+    return np.asarray(_oracle_mix64(states) >> np.uint64(11), dtype=np.float64) * 2.0**-53
+
+
+class TestSmallDraws:
+    """Up to ``core._SMALL_DRAW`` uniforms, and every substream seed, are
+    computed on Python ints; their bits are the one-shot array oracle's."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1, 2**63 + 12345])
+    @pytest.mark.parametrize("counter", [0, 3, 2**40 + 1])
+    def test_uniforms_match_one_shot_oracle(self, seed, counter):
+        for n in range(2 * core._SMALL_DRAW + 2):
+            rng = RngStream(seed, counter)
+            got = rng.uniforms(n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == _oracle_uniforms(seed, counter, n).tobytes()
+            assert rng.counter == counter + n
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_substream_matches_oracle(self, seed):
+        base = _oracle_mix64(np.array([seed ^ 0xD6E8FEB86659FD93], dtype=np.uint64))
+        for index in (0, 1, 7, 2**40):
+            state = base + np.uint64(index + 1) * np.array([_GAMMA])
+            assert RngStream(seed).substream(index).seed == int(_oracle_mix64(state)[0])
+
+
+class TestFillBlocks:
+    """Chunks are filled in blocks of ``min(_CHUNK_PAIRS, _FILL_PAIRS)`` pairs,
+    with a cached read-only ramp and a scratch no other fill uses meanwhile."""
+
+    N = 2**20 + 3
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return _oracle_normals(77, 4, self.N)
+
+    def test_ramp_is_cached_and_read_only(self):
+        ramp = core._gamma_ramp(64)
+        assert core._gamma_ramp(64) is ramp and not ramp.flags.writeable
+        with pytest.raises(ValueError):
+            ramp[0] = 1
+        assert ramp.tobytes() == (np.arange(64, dtype=np.uint64) * _GAMMA).tobytes()
+
+    @staticmethod
+    def _record_scratch(monkeypatch):
+        """Patch the chunk filler to assert that no scratch is in two fills at
+        once; returns the shapes of the scratch each fill got."""
+        fill = core._fill_chunk
+        lock, in_use, shapes = threading.Lock(), set(), []
+
+        def exclusive_fill(out, seed, counter, lo, hi, ramp, scratch):
+            with lock:
+                assert id(scratch) not in in_use
+                in_use.add(id(scratch))
+                shapes.append(scratch.shape)
+            try:
+                time.sleep(0)  # lets another thread start a fill meanwhile
+                fill(out, seed, counter, lo, hi, ramp, scratch)
+            finally:
+                with lock:
+                    in_use.discard(id(scratch))
+
+        monkeypatch.setattr(core, "_fill_chunk", exclusive_fill)
+        return shapes
+
+    @pytest.mark.parametrize("chunk", [2**12, 2**14, 2**16])
+    def test_chunk_size_changes_no_value(self, monkeypatch, oracle, chunk):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", chunk)
+        shapes = self._record_scratch(monkeypatch)
+        assert RngStream(77, 4).normals(self.N).tobytes() == oracle.tobytes()
+        block = min(chunk, core._FILL_PAIRS)
+        assert set(shapes) == {(2, 2 * block)}
+
+    def test_threads_drawing_at_once_never_share_a_scratch(self, monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 1024)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        shapes = self._record_scratch(monkeypatch)
+        n = 12 * 1024 + 5  # seven chunks, each of one fill block
+        seeds = (1, 2, 3, 4)  # with their helpers, more threads than the two CPUs here
+        barrier = threading.Barrier(len(seeds))
+        results = {}
+
+        def draw(seed):
+            barrier.wait(60)
+            results[seed] = RngStream(seed).normals(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(shapes) == 7 * len(seeds)
+        for seed, got in results.items():
+            assert got.tobytes() == _oracle_normals(seed, 0, n).tobytes()
+
+
+class TestStartedSingleChunk:
+    """A started draw of one chunk gets one helper when a second CPU is usable;
+    the joining thread fills the chunk if the helper has not taken it."""
+
+    N = 2001
+
+    @staticmethod
+    def _spy_pool(monkeypatch, pool=None):
+        pool = pool or core.POOL
+        submitted = []
+
+        class SpyPool:
+            def submit(self, fn, *args):
+                submitted.append(fn)
+                return pool.submit(fn, *args)
+
+        monkeypatch.setattr(core, "POOL", SpyPool())
+        return submitted
+
+    @pytest.mark.parametrize("cpus,helpers", [(2, 1), (4, 1), (1, 0)])
+    def test_helpers_per_usable_cpu(self, monkeypatch, cpus, helpers):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        submitted = self._spy_pool(monkeypatch)
+        rng = RngStream(5, 2)
+        rng.start_normals(self.N, np.float32)
+        got = rng.normals(self.N, np.float32)
+        assert len(submitted) == helpers
+        assert got.tobytes() == _oracle_normals(5, 2, self.N).astype(np.float32).tobytes()
+
+    def test_joiner_fills_a_chunk_no_helper_took(self, monkeypatch):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        gate = threading.Event()
+        pool = ThreadPoolExecutor(1)
+        try:
+            pool.submit(gate.wait, 60)  # keeps the only helper thread busy
+            submitted = self._spy_pool(monkeypatch, pool)
+            rng = RngStream(5, 2)
+            rng.start_normals(self.N)
+            got = rng.normals(self.N)
+        finally:
+            gate.set()
+            pool.shutdown(wait=True)
+        assert len(submitted) == 1
+        assert got.tobytes() == _oracle_normals(5, 2, self.N).tobytes()
