@@ -123,10 +123,6 @@ class ToyAttentionCondition:
         object.__setattr__(self, "query_weights", weights)
 
     @property
-    def tokens(self) -> int:
-        return self.text_keys.shape[0]
-
-    @property
     def channels(self) -> int:
         return self.text_values.shape[1]
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    flowsteer edit <config> [--out DIR] [--workers N] [--seed S]
+    flowsteer edit <config> [--out DIR] [--seed S]
     flowsteer sweep <config> --frames 1,5,13,21 [--out DIR]
     flowsteer metrics <config>
     flowsteer selftest [--criterion N]
@@ -29,7 +29,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         spec = with_out_dir(spec, args.out)
     if args.seed is not None:
         spec = with_seed(spec, args.seed)
-    status, outcomes = run_batch([spec], workers=args.workers)
+    status, outcomes = run_batch([spec])
     for outcome in outcomes:
         state = "ok" if outcome.ok else f"FAILED ({outcome.error})"
         print(f"{outcome.scenario}: {state} -> {outcome.out_dir}")
@@ -115,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_edit = sub.add_parser("edit", help="run one configured edit")
     p_edit.add_argument("config")
     p_edit.add_argument("--out", help="override io.out_dir")
-    p_edit.add_argument("--workers", type=int, default=1)
     p_edit.add_argument("--seed", type=int, help="override io.seed")
     p_edit.set_defaults(func=_cmd_edit)
 

@@ -8,6 +8,9 @@ report echoes so results are self-describing. IoU of two empty sets is
 defined as 1 (perfect agreement of emptiness). Signals are float32
 (B, C, F, H, W) arrays.
 
+The editing loop takes a signal's statistics before the step overwrites it,
+from one |dv| that it passes to both statistics with ``absolute=True``.
+
 No claim is made that the toy backends reproduce any particular attenuation
 trend over frame counts; the sweep is bookkeeping around real runs.
 """
@@ -34,16 +37,18 @@ def binarize_signal(
     dv: np.ndarray,
     threshold: float = DEFAULT_BINARIZE_THRESHOLD,
     eps: float = 1e-7,
+    *,
+    absolute: bool = False,
 ) -> np.ndarray:
     """Per-sample binary map (B, F, H, W) of where the signal is strong.
 
     Channel-mean |dv| is min-max normalized per sample and cut strictly
     above ``threshold``; a constant signal therefore binarizes to all
-    zeros.
+    zeros. With ``absolute`` the caller passes |dv| itself.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    normalized = contrast_map(np.abs(dv), eps)[:, 0]
+    normalized = contrast_map(dv if absolute else np.abs(dv), eps)[:, 0]
     return (normalized > threshold).astype(np.uint8)
 
 
@@ -61,10 +66,13 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def magnitude_stats(dv: np.ndarray, per_frame: bool = True) -> tuple[float, tuple[float, ...]]:
+def magnitude_stats(
+    dv: np.ndarray, per_frame: bool = True, *, absolute: bool = False
+) -> tuple[float, tuple[float, ...]]:
     """(mean |dv| over all entries, mean |dv| per latent frame); the per-frame
-    tuple is empty unless ``per_frame``."""
-    mag = np.abs(dv)
+    tuple is empty unless ``per_frame``. With ``absolute`` the caller passes
+    |dv| itself."""
+    mag = dv if absolute else np.abs(dv)
     overall = float(mag.mean(dtype=np.float64))
     frames = dv.shape[2] if per_frame else 0
     return overall, tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(frames))

@@ -22,22 +22,25 @@ checked once per step, before the baseline blend could replace them, and a
 non-finite state raises ``NonFiniteStateError`` naming the step. Other
 errors, such as a target token index out of range, propagate unchanged.
 
-Determinism and attribution: the run seed spawns one substream per step
-index, so a step's noise depends only on (seed, step index, draw index).
-Skipping more initial steps therefore changes the outcome only through the
-removed intervals, never by shifting noise onto different steps. The same
-property lets a run draw one step ahead: when a draw is worth a pool round
-trip (``core.draw_ahead_pays``: it spans more than one RNG chunk, or it has
-at least 2**15 values and a second CPU is usable), step k+1's draws are
-started as step k begins, their helpers fill chunks on ``core.POOL`` while
-step k computes, and step k+1's own ``sample_gaussian`` calls fill the
-chunks left. Desk-size draws run on the calling thread, just before their
-step. A run whose draws span more than one chunk also computes in place: a
-workspace of latent-size buffers, allocated once per run, takes each draw,
-state, velocity, signal and update through ``out=``, and each velocity is
-written into the buffer of its state. Smaller runs allocate their steps'
-arrays as they always have. Neither path changes a value: the in-place
-step repeats the same IEEE operations in the same order.
+Determinism: the run seed spawns one substream per step index, so a
+step's noise depends only on (seed, step index, draw index), and skipping
+more initial steps never shifts noise onto different steps. It also lets a
+run draw ahead: when a draw is worth a pool round trip (see ``core``), step
+k+1's draws start on ``core.POOL`` as step k begins; small ones run in line.
+
+Every step runs in place, in the latent-size buffers of a per-run
+workspace, with each velocity written into its state's buffer. At
+``n_avg = 1``, without blend or recorded states, a step lives in four: the
+state E, this step's noise N, the next step's noise and a work buffer W.
+``z_src`` goes into W (using up N), ``z_tar`` into N, and
+``dv = (v_tar - v_src) + 0`` into v_tar's buffer, freeing W; the ``+ 0``
+is the sum's identity (a -0 difference becomes +0), and ``/ n_avg`` is
+skipped at 1, where it is exact. The statistics of dv, and after
+``amplify(out=dv)`` those of dv_amm, are taken with |signal| in W before the
+update ``z_next = dv_amm * (t_next - t) + E`` overwrites dv_amm's buffer.
+A blend keeps a copy of the first noise, each further draw takes two state
+buffers, and recorded states leave the workspace. The IEEE operations are
+an allocating step's, in the same order, so no value changes.
 
 Coupling is computed difference-first, ``(z_edit - x_src) + z_src``, which
 keeps the coupled state exactly on the pseudo-source path while the
@@ -60,7 +63,6 @@ from .core import (
     TimeGrid,
     VideoLatent,
     draw_ahead_pays,
-    draw_spans_chunks,
     interpolate_source,
     sample_gaussian,
 )
@@ -154,18 +156,31 @@ def _sar_hook(cfg: EditConfig, t: float):
 
 
 class _Workspace:
-    """Latent-size float32 buffers that the steps of one in-place run take
-    and give back, so each is allocated once per run."""
+    """Latent-size float32 buffers that the steps of one run take and give
+    back, so each is allocated once per run. Another array given, such as a
+    noise drawn in line, joins them only when none is free, as the next
+    ``take`` would allocate one: in line or ahead, a run holds as many."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
+        self.own: dict[int, np.ndarray] = {}  # by id; holding them keeps ids unique
         self.free: list[np.ndarray] = []
 
     def take(self) -> np.ndarray:
-        return self.free.pop() if self.free else np.empty(self.shape, dtype=np.float32)
+        if self.free:
+            return self.free.pop()
+        buf = np.empty(self.shape, dtype=np.float32)
+        self.own[id(buf)] = buf
+        return buf
 
     def give(self, *buffers: np.ndarray) -> None:
-        self.free.extend(buffers)
+        for buf in buffers:
+            base = buf if buf.base is None else buf.base
+            if id(base) not in self.own:
+                if self.free:
+                    continue
+                self.own[id(base)] = base
+            self.free.append(buf)
 
 
 def editing_signal(
@@ -175,65 +190,56 @@ def editing_signal(
     cfg: EditConfig,
     backend: BackendRegistry,
     noises: list[np.ndarray],
-    ws: Optional[_Workspace] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    ws: _Workspace,
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
     """Average of v_target(z_tar) - v_source(z_src) over the ``cfg.n_avg`` noise draws.
 
-    ``noises`` holds the draws in order and is emptied as they are used.
-    Returns ``(dv, noise, z_src, z_tar)``: the mean signal and the first
-    draw's noise and states. The states are None unless ``cfg.record_states``
-    is set. The refinement hook is installed on the target evaluation only;
-    the source velocity sees raw attention. Draws accumulate in a fixed
-    sequential order so the mean is reproducible.
-
-    With a workspace ``ws`` every latent-size result is written into one of
-    its buffers and each velocity into the buffer of its state; the noise is
-    used up, and every buffer the caller does not get back is given back.
-    The first draw's noise (for the baseline blend) and states (for the
-    record) are kept intact when ``cfg`` asks for them.
+    ``noises`` holds the draws in order; it is emptied and each draw used up.
+    Results go into buffers of the run's workspace ``ws``, which gets back
+    every one the caller does not. Returns ``(dv, noise, z_src, z_tar)``: the
+    mean signal, the first draw's noise (intact) if the blend needs it and its
+    states if ``cfg.record_states`` asks, else None. The refinement hook acts
+    on the target evaluation only. Draws add up in a fixed order from +0.
     """
     hook = _sar_hook(cfg, t)
-    if ws is None:
-        acc = np.zeros(x_src.shape, dtype=np.float32)
-    else:
-        acc = ws.take()
-        acc.fill(0)
     for draw in range(cfg.n_avg):
-        noise = spent = noises.pop(0)  # with a workspace the interpolation uses up ``spent``
-        if ws is not None and draw == 0 and cfg.baseline_blend:
+        noise = spent = noises.pop(0)  # the interpolation uses up ``spent``
+        if draw == 0 and cfg.baseline_blend:
             spent = ws.take()  # the blend reads this draw's noise after the step
             np.copyto(spent, noise)
-        reuse_states = ws is not None and not (draw == 0 and cfg.record_states)
-        z_src = interpolate_source(x_src, spent, t, out=ws and ws.take())
-        if ws is not None:
-            ws.give(spent)
-        z_tar = couple_target(z_edit, z_src, x_src, out=ws and ws.take())
+        recorded = draw == 0 and cfg.record_states  # these states leave the workspace
+        z_src = interpolate_source(x_src, spent, t, out=ws.take())
+        ws.give(spent)
+        z_tar = couple_target(z_edit, z_src, x_src, out=ws.take())
         v_tar = backend.velocity(
-            VelocityQuery(z_tar, t, "target", hook, out=z_tar if reuse_states else None)
+            VelocityQuery(z_tar, t, "target", hook, out=None if recorded else z_tar)
         )
-        v_src = backend.velocity(
-            VelocityQuery(z_src, t, "source", out=z_src if reuse_states else None)
-        )
+        v_src = backend.velocity(VelocityQuery(z_src, t, "source", out=None if recorded else z_src))
         v_tar -= v_src
-        acc += v_tar
-        if reuse_states:
-            ws.give(z_src, z_tar)
         if draw == 0:
-            first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
-    n_avg = np.float32(cfg.n_avg)
-    dv = acc / n_avg if ws is None else np.divide(acc, n_avg, out=acc)
+            dv = v_tar
+            dv += 0  # the sum's identity: a -0 difference becomes +0
+            states = (z_src, z_tar) if recorded else (None, None)
+            first = (noise if cfg.baseline_blend else None, *states)
+        else:
+            dv += v_tar
+            ws.give(z_tar)
+        if not recorded:
+            ws.give(z_src)
+    if cfg.n_avg > 1:
+        np.divide(dv, np.float32(cfg.n_avg), out=dv)
     return (dv, *first)
 
 
 def _signal_stats(
-    dv: np.ndarray, cfg: EditConfig, per_frame: bool
+    signal: np.ndarray, cfg: EditConfig, ws: _Workspace, per_frame: bool
 ) -> tuple[float, tuple[float, ...], float]:
-    """(mean |dv|, per-frame mean |dv| or (), IoU of the binarized signal vs. the mask).
-
-    With a batch, the IoU is averaged over samples.
-    """
-    mean_abs, frame_means = magnitude_stats(dv, per_frame)
-    binary = binarize_signal(dv, eps=cfg.amm.epsilon)
+    """(mean |signal|, per-frame mean |signal| or (), IoU of the binarized signal
+    vs. the mask, averaged over a batch), from one |signal| in a buffer of ``ws``."""
+    mag = np.abs(signal, out=ws.take())
+    mean_abs, frame_means = magnitude_stats(mag, per_frame, absolute=True)
+    binary = binarize_signal(mag, eps=cfg.amm.epsilon, absolute=True)
+    ws.give(mag)
     score = float(np.mean([iou(binary[b], cfg.mask.data) for b in range(binary.shape[0])]))
     return mean_abs, frame_means, score
 
@@ -245,13 +251,10 @@ def run_edit(
 ) -> tuple[VideoLatent, EditReport]:
     """Drive the editing trajectory across the grid and report per-step stats.
 
-    The state is checked for finiteness once per step, before the baseline
-    blend; a non-finite state raises NonFiniteStateError naming the step.
-    A step's draws come from the run's substream of its index. When a draw
-    is worth a pool round trip, each next step's draws are started on
-    ``core.POOL`` as a step begins; when one spans several RNG chunks, the
-    step also runs in place in buffers allocated once per run. The run
-    returns or raises only once no helper of a started draw can still write.
+    Each step runs in place and may start the next step's draws (see the
+    module docstring); a non-finite state raises NonFiniteStateError naming
+    the step. The run returns or raises only once no helper of a started
+    draw can still write.
     """
     if cfg.mask.shape != x_src.data.shape[2:]:
         raise ShapeMismatchError(
@@ -263,7 +266,7 @@ def run_edit(
     run_rng = RngStream(cfg.seed)
     x = z_edit = x_src.data
     steps = list(cfg.grid.intervals())
-    ws = _Workspace(x.shape) if draw_spans_chunks(x.size) else None
+    ws = _Workspace(x.shape)
     draw_ahead = draw_ahead_pays(x.size)
     ahead = None  # the next step's substream, its draws started
     try:
@@ -274,22 +277,21 @@ def run_edit(
             if draw_ahead and k + 1 < len(steps):
                 ahead = run_rng.substream(steps[k + 1][0])
                 for _ in range(cfg.n_avg):
-                    ahead.start_normals(x.size, np.float32, out=ws and ws.take().reshape(-1))
+                    ahead.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
             dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises, ws)
             contrast = contrast_map(dv, cfg.amm.epsilon)
-            dv_amm = amplify(dv, contrast, gain, out=ws and ws.take())
-            z_next = np.multiply(dv_amm, t_next - t, out=ws and ws.take())
+            mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg, ws, per_frame=True)
+            dv_amm = amplify(dv, contrast, gain, out=dv)
+            mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg, ws, per_frame=False)
+            z_next = np.multiply(dv_amm, t_next - t, out=dv_amm)
             z_next += z_edit
             if not np.isfinite(z_next).all():
                 raise NonFiniteStateError(index, "latent entries must be finite")
             if cfg.baseline_blend:
-                z_ref = interpolate_source(x, noise, t_next, out=ws and ws.take())
-                z_next = blend_baseline(z_next, z_ref, cfg.mask, in_place=ws is not None)
-                if ws is not None:
-                    ws.give(z_ref, noise)
-            mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg, per_frame=True)
-            mean_abs_amm, _, iou_amm = _signal_stats(dv_amm, cfg, per_frame=False)
-            record = StepRecord(
+                z_ref = interpolate_source(x, noise, t_next, out=ws.take())
+                blend_baseline(z_next, z_ref, cfg.mask, in_place=True)
+                ws.give(z_ref, noise)
+            report.steps.append(StepRecord(
                 index=index,
                 t=t,
                 dt=t_next - t,
@@ -302,12 +304,9 @@ def run_edit(
                 z_src=z_src,
                 z_tar=z_tar,
                 z_edit_before=z_edit if cfg.record_states else None,
-            )
-            report.steps.append(record)
-            if ws is not None:
-                ws.give(dv, dv_amm)
-                if z_edit is not x and not cfg.record_states:
-                    ws.give(z_edit)
+            ))
+            if z_edit is not x and not cfg.record_states:
+                ws.give(z_edit)
             z_edit = z_next
     finally:
         if ahead is not None:

@@ -39,10 +39,6 @@ class FlowField:
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
-    @property
-    def pairs(self) -> int:
-        return self.data.shape[0]
-
 
 class ToyFrameEmbedder:
     """Block-mean downsample to a fixed grid, then L2 normalize.

@@ -9,17 +9,27 @@ import pytest
 
 from flowsteer import EditMask, RngStream, TimeGrid, VideoLatent, sample_gaussian
 from flowsteer import core, engine
-from flowsteer.amm import AmmConfig
-from flowsteer.backends import BackendRegistry, GaussianCondition, make_toy_condition_pair
+from flowsteer.amm import AmmConfig, amplify, contrast_map, gamma_f
+from flowsteer.backends import (
+    BackendRegistry,
+    GaussianCondition,
+    VelocityQuery,
+    make_toy_condition_pair,
+)
+from flowsteer.core import interpolate_source
+from flowsteer.diagnostics import binarize_signal, iou, magnitude_stats
 from flowsteer.engine import (
     EditConfig,
+    EditReport,
+    StepRecord,
+    _Workspace,
     blend_baseline,
     couple_target,
     editing_signal,
     run_edit,
 )
 from flowsteer.errors import NonFiniteStateError, ShapeMismatchError
-from flowsteer.sar import SarConfig, TargetTokenSet
+from flowsteer.sar import SarConfig, TargetTokenSet, apply_sar
 
 from conftest import random_latent
 
@@ -107,15 +117,21 @@ class TestEditingSignal:
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
         x = make_latent()
         noise = sample_gaussian(RngStream(1), DIMS)
-        dv = editing_signal(x.data, x.data, 0.8, cfg, reg, [noise])[0]
+        dv = editing_signal(x.data, x.data, 0.8, cfg, reg, [noise], _Workspace(DIMS))[0]
         assert np.array_equal(dv, np.zeros(DIMS, dtype=np.float32))
 
     def test_two_equal_draws_match_single_draw(self, make_latent):
         reg = gaussian_registry(0.0, 1.0)
         x = make_latent()
         noise = sample_gaussian(RngStream(3), DIMS)
-        one = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=1), reg, [noise])[0]
-        two = editing_signal(x.data, x.data, 0.6, make_cfg(n_avg=2), reg, [noise, noise])[0]
+        # each draw is used up, so every call gets copies of the one draw
+        one = editing_signal(
+            x.data, x.data, 0.6, make_cfg(n_avg=1), reg, [noise.copy()], _Workspace(DIMS)
+        )[0]
+        two = editing_signal(
+            x.data, x.data, 0.6, make_cfg(n_avg=2), reg, [noise.copy(), noise.copy()],
+            _Workspace(DIMS),
+        )[0]
         assert np.array_equal(one, two)
 
     def test_gaussian_signal_matches_scalar_derivation(self):
@@ -128,7 +144,7 @@ class TestEditingSignal:
         noise = RngStream(11).normals(int(np.prod(DIMS)))
         cfg = make_cfg(sar=SarConfig(beta1=0.0, beta2=0.0))
         draw = noise.astype(np.float32).reshape(DIMS)
-        dv = editing_signal(z_edit.data, x.data, t, cfg, reg, [draw])[0]
+        dv = editing_signal(z_edit.data, x.data, t, cfg, reg, [draw], _Workspace(DIMS))[0]
 
         def scalar_v(z, mu):
             denom = (1 - t) ** 2 * s**2 + t**2
@@ -517,6 +533,144 @@ class TestDrawAhead:
         assert after.data.tobytes() == before.data.tobytes()
 
 
+def reference_run(x_src, cfg, backend):
+    """The allocating step the in-place path replaced, kept as its oracle: every
+    layer returns a new array, the draws accumulate onto a zero-filled array and
+    the mean divides by ``n_avg``; the statistics are taken after the update."""
+    frames = x_src.dims.frames
+    gain = gamma_f(cfg.amm, frames)
+    report = EditReport(seed=cfg.seed, frames=frames, gain=gain)
+    run_rng = RngStream(cfg.seed)
+    x = z_edit = x_src.data
+    for index, t, t_next in cfg.grid.intervals():
+        rng = run_rng.substream(index)
+        noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
+
+        def hook(logits, layer, t=t):
+            return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, cfg.grid, layer)
+
+        acc = np.zeros(x.shape, dtype=np.float32)
+        for draw in range(cfg.n_avg):
+            noise = noises.pop(0)
+            z_src = interpolate_source(x, noise, t)
+            z_tar = couple_target(z_edit, z_src, x)
+            v_tar = backend.velocity(VelocityQuery(z_tar, t, "target", hook))
+            v_src = backend.velocity(VelocityQuery(z_src, t, "source"))
+            v_tar -= v_src
+            acc += v_tar
+            if draw == 0:
+                first = (noise, z_src, z_tar) if cfg.record_states else (noise, None, None)
+        dv = acc / np.float32(cfg.n_avg)
+        noise, z_src, z_tar = first
+        contrast = contrast_map(dv, cfg.amm.epsilon)
+        dv_amm = amplify(dv, contrast, gain)
+        z_next = np.multiply(dv_amm, t_next - t)
+        z_next += z_edit
+        if not np.isfinite(z_next).all():
+            raise NonFiniteStateError(index, "latent entries must be finite")
+        if cfg.baseline_blend:
+            z_next = blend_baseline(z_next, interpolate_source(x, noise, t_next), cfg.mask)
+        stats = []
+        for signal, per_frame in ((dv, True), (dv_amm, False)):
+            mean_abs, frame_means = magnitude_stats(signal, per_frame)
+            binary = binarize_signal(signal, eps=cfg.amm.epsilon)
+            score = float(np.mean([iou(b, cfg.mask.data) for b in binary]))
+            stats.append((mean_abs, frame_means, score))
+        report.steps.append(
+            StepRecord(
+                index=index,
+                t=t,
+                dt=t_next - t,
+                mean_abs=stats[0][0],
+                mean_abs_amm=stats[1][0],
+                per_frame_mean_abs=stats[0][1],
+                iou=stats[0][2],
+                iou_amm=stats[1][2],
+                contrast=contrast if cfg.record_contrast else None,
+                z_src=z_src,
+                z_tar=z_tar,
+                z_edit_before=z_edit if cfg.record_states else None,
+            )
+        )
+        z_edit = z_next
+    return VideoLatent(z_edit), report
+
+
+class TestOnePath:
+    """Every run takes the in-place step; it must give the bits of the
+    allocating step it replaced, in every configuration and draw schedule."""
+
+    @pytest.mark.parametrize("draws", ["in_line", "ahead", "multi_chunk"])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("record_contrast", [False, True])
+    @pytest.mark.parametrize("record_states", [False, True])
+    @pytest.mark.parametrize("blend", [False, True])
+    @pytest.mark.parametrize("n_avg", [1, 2])
+    @pytest.mark.parametrize("backend", ["gaussian", "toy"])
+    def test_matches_allocating_step(
+        self, monkeypatch, backend, n_avg, blend, record_states, record_contrast, batch, draws
+    ):
+        dims = (batch,) + DIMS[1:]
+        x = random_latent(RngStream(40 + batch), dims)
+        bits = np.zeros(dims[2:], dtype=np.uint8)
+        bits[:, 1:3, :] = 1
+        j_tar = TargetTokenSet.of(1)
+        cfg = make_cfg(
+            grid=TimeGrid.uniform(8, skip=2),
+            mask=EditMask(bits),
+            j_tar=j_tar,
+            seed=21,
+            n_avg=n_avg,
+            baseline_blend=blend,
+            record_states=record_states,
+            record_contrast=record_contrast,
+        )
+        if backend == "gaussian":
+            reg = gaussian_registry(0.0, 1.0)
+        else:
+            reg = BackendRegistry(
+                *make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
+            )
+        want_result, want_report = reference_run(x, cfg, reg)
+
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        if draws == "ahead":  # single-chunk draws started ahead, as at toy size
+            monkeypatch.setattr(core, "_AHEAD_MIN", 1)
+        elif draws == "multi_chunk":
+            monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
+        assert core.draw_ahead_pays(x.data.size) == (draws != "in_line")
+        assert core.draw_spans_chunks(x.data.size) == (draws == "multi_chunk")
+        for _ in range(2):  # a second run must not see the first one's buffers
+            result, report = run_edit(x, cfg, reg)
+            assert result.data.tobytes() == want_result.data.tobytes()
+            assert _report_bytes(report) == _report_bytes(want_report)
+
+    def test_negative_zero_difference_gives_positive_zero(self):
+        """At n_avg = 1 a -0 velocity difference becomes +0 in dv, as it did
+        on the zero-filled accumulator (0 + -0 = +0). Over a -0 state this
+        decides the sign of the result: +0 * dt + -0 is -0 (dt < 0), where a
+        -0 signal would give +0 * ... = +0."""
+
+        class SignedZeros(BackendRegistry):
+            def velocity(self, query):
+                value = -0.0 if query.condition == "target" else 0.0
+                out = np.empty_like(query.state) if query.out is None else query.out
+                out.fill(value)
+                return out
+
+        good = gaussian_registry()
+        reg = SignedZeros(good.source, good.target)
+        cfg = make_cfg(grid=TimeGrid.uniform(4, skip=1))
+        x = const_latent(-0.0)
+        noise = sample_gaussian(RngStream(2), DIMS)
+        dv = editing_signal(x.data, x.data, 0.5, cfg, reg, [noise], _Workspace(DIMS))[0]
+        assert not np.signbit(dv).any() and not dv.any()
+        result, _ = run_edit(x, cfg, reg)
+        want, _ = reference_run(x, cfg, reg)
+        assert result.data.tobytes() == want.data.tobytes()
+        assert np.signbit(result.data).all()
+
+
 class TestWorkingSet:
     def test_multi_chunk_run_peaks_under_seven_latents(self, monkeypatch):
         """The in-place step's working set, counted by tracemalloc (no timing):
@@ -536,6 +690,35 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert (peak - start) / x.data.nbytes <= 7.0
+
+    # (extra config, most latent sizes): four buffers and small temporaries for the
+    # plain step; the others no more than the allocating step took (8.4, 8.4, 15.4)
+    BOUNDS = {
+        "plain": ({}, 4.5),
+        "blend": ({"baseline_blend": True}, 8.4),
+        "n_avg_2": ({"n_avg": 2}, 8.4),
+        "record_states": ({"record_states": True}, 15.4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOUNDS))
+    def test_step_buffers(self, monkeypatch, case):
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 1024)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        dims = (1, 16, 8, 32, 32)
+        x = random_latent(RngStream(3), dims)
+        reg = gaussian_registry(0.0, 1.0, channels=16)
+        bits = np.zeros(dims[2:], dtype=np.uint8)
+        bits[:, 8:24, :] = 1
+        extra, bound = self.BOUNDS[case]
+        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=6), mask=EditMask(bits), seed=5, **extra)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_edit(x, cfg, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / x.data.nbytes <= bound
 
 
 class TestTraceSeam:
