@@ -13,12 +13,12 @@ Conventions fixed here and relied on by every other module:
   payload of ``prod(dims)`` values in C order. Round-trips are bit-exact.
 
 * Masks come in as 8-bit grayscale PGM (P5), one file per frame, or as a
-  single FATN tensor of dims ``(F, H, W)``. Values are binarized (``> 127``
-  for 8-bit, ``> 0.5`` for float inputs) and resampled to the latent grid
-  with an any-coverage rule: a latent cell is 1 if any source cell whose
-  extent intersects it is 1. The rule dilates rather than erodes, so thin
-  scribbles survive downsampling, and it is the identity at matched
-  resolution.
+  single FATN tensor of dims ``(F, H, W)``. Values are binarized (above half
+  the PGM's maxval, so ``> 127`` at 255; ``> 0.5`` for float inputs) and
+  resampled to the latent grid with an any-coverage rule: a latent cell is
+  1 if any source cell whose extent intersects it is 1. The rule dilates
+  rather than erodes, so thin scribbles survive downsampling, and it is the
+  identity at matched resolution.
 
 * Random draws use a counter-based generator so that a ``(seed, counter)``
   pair fully determines every value, independent of draw batching,
@@ -37,24 +37,26 @@ Conventions fixed here and relied on by every other module:
   ``mix64(mix64(seed ^ SPLIT_SALT) + (i + 1) * GAMMA)``,
   ``SPLIT_SALT = 0xD6E8FEB86659FD93``.
   Because draw ``k`` depends only on ``(seed, k)``, a normals draw is
-  computed in fixed chunks of counter positions, and a draw of several
-  chunks spreads them over helpers on ``POOL``, one persistent pool of one
-  thread per further usable CPU, and the thread that joins the draw. A
-  draw may be started ahead (``RngStream.start_normals``): its helpers
-  begin at once, one even for a single-chunk draw when a second CPU is
-  usable, and the ``normals`` call that joins it fills whatever chunks are
-  left, so the editing loop starts the next step's noise while a step
-  computes (see ``engine``). A draw started on a ``POOL`` thread submits
-  no helper, so no pool task ever waits for another. A thread fills a
-  chunk in blocks of at most 2**14 pairs, in a scratch buffer that no
-  other thread uses meanwhile and with a shared read-only ramp of counter
-  offsets, both kept across draws. Each Box-Muller value is computed in
-  float64 and written straight into an output of the caller's dtype,
-  rounding once, as a cast would. The values do not depend on the chunk or
-  block size, the number of threads, when a draw starts or the thread a
-  chunk runs on. Uniform draws of a few values and substream seeds are
-  computed on Python ints, with the same bits. A stream's ``counter`` is
-  unguarded, so one stream object must not be used by two callers at once.
+  computed in fixed chunks of counter positions, filled by the thread that
+  joins it and by helpers on ``POOL``, one persistent pool of one thread
+  per further usable CPU. The draw alone decides its helpers: one that
+  fills at least one whole fill block gets one per chunk, up to one per
+  further usable CPU; a smaller one gets none and runs on the joining
+  thread. A draw may be started ahead (``RngStream.start_normals``): its
+  helpers begin at once, and the ``normals`` call that joins it fills
+  whatever chunks are left, so the editing loop draws each next step's
+  noise while a step computes (see ``engine``). A join cancels the helpers
+  that have not started, so it never waits for a queued pool task. A
+  thread fills a chunk in blocks of at most ``_FILL_PAIRS`` pairs, in a
+  scratch buffer that no other thread uses meanwhile and with a shared
+  read-only ramp of counter offsets, both kept across draws. Each
+  Box-Muller value is computed in float64 and written straight into an
+  output of the caller's dtype, rounding once, as a cast would. The values
+  do not depend on the chunk or block size, the number of threads, when a
+  draw starts or the thread a chunk runs on. Uniform draws of a few values
+  and substream seeds are computed on Python ints, with the same bits. A
+  stream's ``counter`` is unguarded, so one stream object must not be used
+  by two callers at once.
 """
 
 from __future__ import annotations
@@ -86,8 +88,6 @@ _CHUNK_PAIRS = 1 << 16
 _FILL_PAIRS = 1 << 14
 # Uniform draws of at most this many values run on Python ints, not numpy.
 _SMALL_DRAW = 16
-# Fewest values a draw needs for starting it ahead on ``POOL`` to pay.
-_AHEAD_MIN = 1 << 15
 
 # Times this far outside [0, 1] are treated as grid-construction noise.
 TIME_CLAMP_SLACK = 1e-12
@@ -325,13 +325,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
-
-
 # Fill scratch that no thread is using. A thread takes one for as long as it
 # fills chunks, so there are never more than the most threads that ever filled
 # at once, and a draw-ahead whose helper and joiner take turns keeps one.
@@ -350,37 +343,22 @@ def _take_scratch(pairs: int) -> np.ndarray:
 
 
 # Helpers of draws, one thread per further usable CPU: the thread that joins a
-# draw fills chunks too. A task on it never waits for another task on it: a
-# draw started on one of its threads submits no helper.
-POOL = ThreadPoolExecutor(
-    max(1, _usable_cpus() - 1), "flowsteer", initializer=_mark_pool_thread
-)
-
-
-def draw_spans_chunks(n: int) -> bool:
-    """Whether a draw of ``n`` normals spans more than one chunk, and so uses ``POOL``."""
-    return (n + 1) // 2 > _CHUNK_PAIRS
-
-
-def draw_ahead_pays(n: int) -> bool:
-    """Whether a draw of ``n`` normals is worth starting ahead: it spans several
-    chunks, or it has at least ``_AHEAD_MIN`` values and a second CPU can take it."""
-    return draw_spans_chunks(n) or (n >= _AHEAD_MIN and _usable_cpus() > 1)
+# draw fills chunks too.
+POOL = ThreadPoolExecutor(max(1, _usable_cpus() - 1), "flowsteer")
 
 
 class _Draw:
     """One normals draw, whose chunks go to whichever thread asks next: the
     ``POOL`` helpers submitted when it starts, and the thread that joins it.
 
-    A draw of several chunks gets up to one helper per further usable CPU, and
-    one started ahead (``started``) gets one even for a single chunk, since the
-    thread that joins it is busy until then. A thread fills its chunks in
-    blocks of ``min(_CHUNK_PAIRS, _FILL_PAIRS)`` pairs, in a scratch it takes
-    from the spares, with the shared read-only ramp; both outlive the draw."""
+    A draw that fills at least one whole block of ``min(_CHUNK_PAIRS,
+    _FILL_PAIRS)`` pairs gets one helper per chunk, up to one per further
+    usable CPU; a smaller one gets none and asks nothing of the pool or the
+    CPU count. A thread fills its chunks in such blocks, in a scratch it
+    takes from the spares, with the shared read-only ramp; both outlive the
+    draw."""
 
-    def __init__(
-        self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None, started=False
-    ):
+    def __init__(self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None):
         self.seed, self.counter, self.n, self.dtype = seed, counter, n, np.dtype(dtype)
         if out is None:
             out = np.empty(n, dtype=self.dtype)
@@ -392,9 +370,7 @@ class _Draw:
         starts = range(0, self.pairs, _CHUNK_PAIRS)
         self._block = min(_CHUNK_PAIRS, _FILL_PAIRS)
         self._ramp = _gamma_ramp(2 * min(self.pairs, self._block))
-        helpers = 0
-        if (started or len(starts) > 1) and not getattr(_pool_thread, "active", False):
-            helpers = min(len(starts) - (not started), _usable_cpus() - 1)
+        helpers = min(len(starts), _usable_cpus() - 1) if self.pairs >= self._block else 0
         self._todo = iter(starts)
         self._lock = threading.Lock()
         self._helpers = [POOL.submit(self._fill) for _ in range(helpers)]
@@ -437,9 +413,8 @@ class _Draw:
             self._fill()
         finally:
             errors = self._settle()
-        for error in errors:
-            if error is not None:
-                raise error
+        for error in filter(None, errors):
+            raise error
         return self.out
 
     def cancel(self) -> None:
@@ -459,12 +434,12 @@ class RngStream:
     advances it.
 
     ``normals`` computes a draw in fixed chunks of ``_CHUNK_PAIRS`` counter
-    pairs. A draw of more than one chunk hands its chunks out to up to one
-    ``POOL`` helper per further usable CPU, unless it starts on a ``POOL``
-    thread, and to the thread that joins it. ``start_normals`` submits the
-    helpers of a draw early, one even for a single chunk, and the matching
-    ``normals`` call joins it. The values do not depend on the chunk size, on
-    when a draw starts, or on which thread computes which chunk.
+    pairs, which it hands out to the thread that joins it and, for a draw of
+    at least one fill block, to up to one ``POOL`` helper per further usable
+    CPU. ``start_normals`` submits the helpers of a draw early, and the
+    matching ``normals`` call joins it. The values do not depend on the
+    chunk size, on when a draw starts, or on which thread computes which
+    chunk.
     """
 
     seed: int
@@ -502,7 +477,7 @@ class RngStream:
         ``n`` elements of ``dtype``, receives the draw in place of a new array.
         """
         counter = self._started[-1].end if self._started else self.counter
-        self._started.append(_Draw(self.seed, counter, n, dtype, out, started=True))
+        self._started.append(_Draw(self.seed, counter, n, dtype, out))
 
     def normals(self, n: int, dtype=np.float64) -> np.ndarray:
         """n standard normals via Box-Muller, as ``dtype``; consumes 2*ceil(n/2) draws.
@@ -682,8 +657,9 @@ def _read_pgm_token(fh) -> bytes:
         tok += ch
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read an 8-bit binary PGM (P5) into a (H, W) uint8 array."""
+def read_pgm(path: str | Path, mask: bool = False) -> np.ndarray:
+    """Read an 8-bit binary PGM (P5) into a (H, W) uint8 array, or with ``mask``
+    into a bool array of the pixels above half its maxval (``2 * v > maxval``)."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
         if magic != b"P5":
@@ -701,7 +677,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         payload = fh.read(width * height)
         if len(payload) < width * height:
             raise TensorFormatError(f"{path}: truncated PGM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    image = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if image.max() > maxval:
+        raise TensorFormatError(f"{path}: pixel value {image.max()} above maxval {maxval}")
+    return image > maxval // 2 if mask else image
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
@@ -757,8 +736,9 @@ def load_mask(
 ) -> EditMask:
     """Load a mask from per-frame PGM files or one FATN (F, H, W) tensor.
 
-    8-bit pixels binarize at > 127, float grids at > 0.5; the binary grid is
-    then resampled to ``latent_dims`` with the any-coverage rule.
+    PGM pixels binarize above half the file's maxval (> 127 at 255), float
+    grids at > 0.5; the binary grid is then resampled to ``latent_dims``
+    with the any-coverage rule.
     """
     frames, height, width = (int(d) for d in latent_dims)
     if frames < 1 or height < 1 or width < 1:
@@ -766,7 +746,7 @@ def load_mask(
     if isinstance(source, (str, Path)):
         path = Path(source)
         if path.suffix.lower() == ".pgm":
-            grid = read_pgm(path)[None, :, :] > 127
+            grid = read_pgm(path, mask=True)[None, :, :]
         else:
             arr = read_fatn(path)
             if arr.ndim != 3:
@@ -776,8 +756,8 @@ def load_mask(
         paths = list(source)
         if not paths:
             raise TensorFormatError("empty mask frame list")
-        planes = [read_pgm(p) for p in paths]
+        planes = [read_pgm(p, mask=True) for p in paths]
         if any(p.shape != planes[0].shape for p in planes):
             raise ShapeMismatchError("mask frames must share one resolution")
-        grid = np.stack(planes, axis=0) > 127
+        grid = np.stack(planes, axis=0)
     return EditMask(resample_mask_any(grid, (frames, height, width)))

@@ -25,8 +25,9 @@ errors, such as a target token index out of range, propagate unchanged.
 Determinism: the run seed spawns one substream per step index, so a
 step's noise depends only on (seed, step index, draw index), and skipping
 more initial steps never shifts noise onto different steps. It also lets a
-run draw ahead: when a draw is worth a pool round trip (see ``core``), step
-k+1's draws start on ``core.POOL`` as step k begins; small ones run in line.
+run draw ahead: every draw is started into a workspace buffer, step 0's
+before the loop and step k+1's as soon as step k's are joined, and the
+draw alone decides whether ``core.POOL`` helps (see ``core``).
 
 Every step runs in place, in the latent-size buffers of a per-run
 workspace, with each velocity written into its state's buffer. At
@@ -62,7 +63,6 @@ from .core import (
     RngStream,
     TimeGrid,
     VideoLatent,
-    draw_ahead_pays,
     interpolate_source,
     sample_gaussian,
 )
@@ -157,30 +157,17 @@ def _sar_hook(cfg: EditConfig, t: float):
 
 class _Workspace:
     """Latent-size float32 buffers that the steps of one run take and give
-    back, so each is allocated once per run. Another array given, such as a
-    noise drawn in line, joins them only when none is free, as the next
-    ``take`` would allocate one: in line or ahead, a run holds as many."""
+    back, so each is allocated once per run."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = shape
-        self.own: dict[int, np.ndarray] = {}  # by id; holding them keeps ids unique
         self.free: list[np.ndarray] = []
 
     def take(self) -> np.ndarray:
-        if self.free:
-            return self.free.pop()
-        buf = np.empty(self.shape, dtype=np.float32)
-        self.own[id(buf)] = buf
-        return buf
+        return self.free.pop() if self.free else np.empty(self.shape, dtype=np.float32)
 
     def give(self, *buffers: np.ndarray) -> None:
-        for buf in buffers:
-            base = buf if buf.base is None else buf.base
-            if id(base) not in self.own:
-                if self.free:
-                    continue
-                self.own[id(base)] = base
-            self.free.append(buf)
+        self.free.extend(buffers)
 
 
 def editing_signal(
@@ -251,8 +238,8 @@ def run_edit(
 ) -> tuple[VideoLatent, EditReport]:
     """Drive the editing trajectory across the grid and report per-step stats.
 
-    Each step runs in place and may start the next step's draws (see the
-    module docstring); a non-finite state raises NonFiniteStateError naming
+    Each step runs in place while the next step's draws are under way (see
+    the module docstring); a non-finite state raises NonFiniteStateError naming
     the step. The run returns or raises only once no helper of a started
     draw can still write.
     """
@@ -267,17 +254,19 @@ def run_edit(
     x = z_edit = x_src.data
     steps = list(cfg.grid.intervals())
     ws = _Workspace(x.shape)
-    draw_ahead = draw_ahead_pays(x.size)
-    ahead = None  # the next step's substream, its draws started
+
+    def start_draws(rng: RngStream) -> None:  # each into a buffer of the workspace
+        for _ in range(cfg.n_avg):
+            rng.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
+
+    ahead = run_rng.substream(steps[0][0])  # the stream whose draws are started
     try:
+        start_draws(ahead)
         for k, (index, t, t_next) in enumerate(steps):
-            rng = run_rng.substream(index) if ahead is None else ahead
-            noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
-            ahead = None
-            if draw_ahead and k + 1 < len(steps):
+            noises = [sample_gaussian(ahead, x.shape) for _ in range(cfg.n_avg)]
+            if k + 1 < len(steps):
                 ahead = run_rng.substream(steps[k + 1][0])
-                for _ in range(cfg.n_avg):
-                    ahead.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
+                start_draws(ahead)
             dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises, ws)
             contrast = contrast_map(dv, cfg.amm.epsilon)
             mean_abs, per_frame, iou_dv = _signal_stats(dv, cfg, ws, per_frame=True)
@@ -309,6 +298,5 @@ def run_edit(
                 ws.give(z_edit)
             z_edit = z_next
     finally:
-        if ahead is not None:
-            ahead.cancel_started()
+        ahead.cancel_started()
     return VideoLatent(z_edit), report

@@ -11,15 +11,13 @@ Each run gets its own directory ``out_dir/<scenario>/`` holding:
 * ``contrast_step_NNN.pgm`` - optional contrast maps (frames stacked
   vertically, sample 0), linearly quantized from [0, 1] to 8 bits
 
-Runs are independent and may execute on a thread pool; all writes stay
-inside per-run directories. The ``FLOWSTEER_WORKERS`` environment
-variable, when set, overrides the requested worker count.
+Runs are independent and may execute on a thread pool of the requested
+number of workers; all writes stay inside per-run directories.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,8 +48,6 @@ from .metrics import (
 
 REPORT_SCHEMA_VERSION = 1
 
-WORKERS_ENV_VAR = "FLOWSTEER_WORKERS"
-
 
 @dataclass
 class RunOutcome:
@@ -59,16 +55,6 @@ class RunOutcome:
     out_dir: Path
     ok: bool
     error: Optional[str] = None
-
-
-def resolve_workers(requested: int) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ConfigError(WORKERS_ENV_VAR, f"expected an integer, got {env!r}") from None
-    return max(1, requested)
 
 
 def channel_mean_video(latent: VideoLatent) -> np.ndarray:
@@ -214,7 +200,8 @@ def execute_run(spec: RunSpec) -> RunOutcome:
 
 
 def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[RunOutcome]]:
-    """Execute runs (concurrently if workers > 1); exit status 0 iff all finished.
+    """Execute runs (concurrently if workers > 1, else in order on this thread);
+    exit status 0 iff all finished.
 
     Raises ConfigError("io.scenario", ...) before any run starts when two specs
     resolve to the same run directory.
@@ -228,8 +215,7 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
                 f"runs {seen[run_dir]!r} and {spec.io.scenario!r} both write to {run_dir}",
             )
         seen[run_dir] = spec.io.scenario
-    workers = resolve_workers(workers)
-    if workers == 1 or len(specs) <= 1:
+    if workers <= 1 or len(specs) <= 1:
         outcomes = [execute_run(spec) for spec in specs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -357,9 +358,10 @@ def _report_bytes(report):
 
 
 class TestDrawAhead:
-    """With chunks shrunk so that desk-size draws span several, run_edit starts
-    each next step's draws one step early and runs the step in place; the
-    values must not change."""
+    """run_edit starts each step's draws one step early. With chunks shrunk so
+    that desk-size draws span several, each draw also gets a pool helper; the
+    values must not change from those of draws filled inline, on the edit's
+    thread."""
 
     @staticmethod
     def _counting_pool(monkeypatch):
@@ -407,7 +409,7 @@ class TestDrawAhead:
         return BackendRegistry(src, tar), replace(cfg, j_tar=j_tar)
 
     def _check_against_inline(self, x, cfg, reg, monkeypatch):
-        assert not core.draw_spans_chunks(x.data.size)
+        assert (x.data.size + 1) // 2 < core._FILL_PAIRS  # below one fill block: no helper
         inline_result, inline_report = run_edit(x, cfg, reg)
 
         submitted = self._force_multi_chunk(monkeypatch)
@@ -445,12 +447,13 @@ class TestDrawAhead:
         self._check_against_inline(make_latent(), cfg, reg, monkeypatch)
 
     def test_toy_size_draws_ahead_with_a_second_cpu(self, make_latent, monkeypatch):
-        """Single-chunk draws of at least ``_AHEAD_MIN`` values, chunk size as
-        shipped: each next step's draws get one helper when a second CPU is
-        usable and none without one; desk-size draws are never started ahead."""
+        """Single-chunk draws of at least one fill block, sizes as shipped: every
+        step's draws, step 0's too, get one helper each when a second CPU is
+        usable and none without one; a draw below one fill block gets no helper
+        and asks nothing of the CPU count."""
         dims = (1, 2, 4, 64, 64)
         x = random_latent(RngStream(6), dims)
-        assert x.data.size >= core._AHEAD_MIN and not core.draw_spans_chunks(x.data.size)
+        assert (x.data.size + 1) // 2 == core._FILL_PAIRS < core._CHUNK_PAIRS
         j_tar = TargetTokenSet.of(1)
         src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
         reg = BackendRegistry(src, tar)
@@ -474,13 +477,17 @@ class TestDrawAhead:
             runs[cpus] = run_edit(x, cfg, reg)
             helpers[cpus] = list(submitted)
         assert helpers[1] == []
-        # steps 4..1 are active; the two draws of each of steps 3, 2 and 1 are started ahead
+        # steps 4..1 are active; each draw of each step is started and gets a helper
         run_rng = RngStream(cfg.seed)
-        seeds = [run_rng.substream(index).seed for index in (3, 2, 1)]
+        seeds = [run_rng.substream(index).seed for index in (4, 3, 2, 1)]
         assert helpers[2] == [(seed, counter) for seed in seeds for counter in (0, x.data.size)]
         assert runs[2][0].data.tobytes() == runs[1][0].data.tobytes()
         assert _report_bytes(runs[2][1]) == _report_bytes(runs[1][1])
 
+        def forbidden():
+            raise AssertionError("a draw below one fill block must not query CPUs")
+
+        monkeypatch.setattr(core, "_usable_cpus", forbidden)
         submitted.clear()
         run_edit(make_latent(), replace(cfg, mask=full_mask()), reg)
         assert submitted == []
@@ -491,7 +498,7 @@ class TestDrawAhead:
         running, in_flight = [], []
 
         def slow_helper_fill(out, seed, counter, lo, hi, ramp, scratch):
-            if not getattr(core._pool_thread, "active", False):
+            if not threading.current_thread().name.startswith("flowsteer"):
                 return fill(out, seed, counter, lo, hi, ramp, scratch)
             running.append(seed)
             try:
@@ -634,12 +641,15 @@ class TestOnePath:
         want_result, want_report = reference_run(x, cfg, reg)
 
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-        if draws == "ahead":  # single-chunk draws started ahead, as at toy size
-            monkeypatch.setattr(core, "_AHEAD_MIN", 1)
+        if draws == "ahead":  # single-chunk draws with a helper, as at toy size
+            monkeypatch.setattr(core, "_FILL_PAIRS", 8)
         elif draws == "multi_chunk":
             monkeypatch.setattr(core, "_CHUNK_PAIRS", 8)
-        assert core.draw_ahead_pays(x.data.size) == (draws != "in_line")
-        assert core.draw_spans_chunks(x.data.size) == (draws == "multi_chunk")
+        pairs = (x.data.size + 1) // 2
+        blocks = pairs // min(core._CHUNK_PAIRS, core._FILL_PAIRS)  # whole fill blocks
+        chunks = -(-pairs // core._CHUNK_PAIRS)
+        assert (blocks >= 1) == (draws != "in_line")
+        assert (chunks > 1) == (draws == "multi_chunk")
         for _ in range(2):  # a second run must not see the first one's buffers
             result, report = run_edit(x, cfg, reg)
             assert result.data.tobytes() == want_result.data.tobytes()
@@ -679,7 +689,7 @@ class TestWorkingSet:
         monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
         dims = (1, 16, 8, 32, 32)
         x = random_latent(RngStream(3), dims)
-        assert core.draw_spans_chunks(x.data.size)
+        assert (x.data.size + 1) // 2 > core._CHUNK_PAIRS
         reg = gaussian_registry(0.0, 1.0, channels=16)
         cfg = make_cfg(grid=TimeGrid.uniform(10, skip=6), mask=full_mask(dims), seed=5)
         tracemalloc.start()

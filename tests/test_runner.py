@@ -5,18 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowsteer import core
+from flowsteer import core, runner
 from flowsteer.cli import main as cli_main
 from flowsteer.config import parse_config_text, with_out_dir, with_seed
 from flowsteer.core import read_fatn
 from flowsteer.errors import ConfigError
-from flowsteer.runner import (
-    WORKERS_ENV_VAR,
-    execute_run,
-    quantize_contrast,
-    resolve_workers,
-    run_batch,
-)
+from flowsteer.runner import execute_run, quantize_contrast, run_batch
 
 NULL_EDIT = """
 [backend]
@@ -85,7 +79,6 @@ class TestRunBatch:
         # and next-step draws share one pool; a pool task waiting on another
         # would hang here instead of finishing
         monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
 
         def batch(workers):
             base = spec_in(SHIFT_EDIT, tmp_path)
@@ -187,19 +180,19 @@ class TestRunBatch:
 
 
 class TestWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert resolve_workers(1) == 3
+    def test_default_floor(self, tmp_path, monkeypatch):
+        # fewer than one worker runs the batch in order on the calling thread
+        threads = []
 
-    def test_env_invalid(self, monkeypatch):
-        from flowsteer.errors import ConfigError
+        def recording_run(spec):
+            threads.append(threading.get_ident())
+            return execute_run(spec)
 
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-        with pytest.raises(ConfigError):
-            resolve_workers(1)
-
-    def test_default_floor(self):
-        assert resolve_workers(0) == 1
+        monkeypatch.setattr(runner, "execute_run", recording_run)
+        specs = [spec_in(NULL_EDIT, tmp_path, name) for name in ("a", "b")]
+        status, outcomes = run_batch(specs, workers=0)
+        assert status == 0 and [o.scenario for o in outcomes] == [s.io.scenario for s in specs]
+        assert threads == [threading.get_ident()] * 2
 
 
 class TestQuantize:

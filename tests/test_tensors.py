@@ -174,12 +174,16 @@ class TestChunkedNormals:
 
     def test_single_chunk_draw_runs_inline(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a one-chunk draw must not use the pool or query CPUs")
+            raise AssertionError("a draw below one fill block must not use the pool or query CPUs")
 
         monkeypatch.setattr(core, "POOL", SimpleNamespace(submit=forbidden))
         monkeypatch.setattr(core, "_usable_cpus", forbidden)
+        n = 2 * core._FILL_PAIRS - 3  # one pair short of a fill block
         rng = RngStream(1)
-        assert rng.normals(2 * _CHUNK).tobytes() == _oracle_normals(1, 0, 2 * _CHUNK).tobytes()
+        assert rng.normals(n).tobytes() == _oracle_normals(1, 0, n).tobytes()
+        rng.start_normals(n, np.float32)
+        want = _oracle_normals(1, n + 1, n).astype(np.float32)
+        assert rng.normals(n, np.float32).tobytes() == want.tobytes()
         assert rng.uniforms(3 * _CHUNK).shape == (3 * _CHUNK,)
 
 
@@ -207,36 +211,8 @@ class TestFloat32Normals:
         if chunk is not None:
             monkeypatch.setattr(core, "_CHUNK_PAIRS", chunk)
         n = 7 * (chunk or _CHUNK) + 2
-        assert core.draw_spans_chunks(n)
+        assert (n + 1) // 2 > core._CHUNK_PAIRS
         self._check(9, 1, n)
-
-    def test_draw_on_a_pool_thread_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
-        threads = set()
-        fill = core._fill_chunk
-
-        def recording_fill(*args):
-            threads.add(threading.get_ident())
-            fill(*args)
-
-        monkeypatch.setattr(core, "_fill_chunk", recording_fill)
-        pool = core.POOL
-        helpers = []
-
-        class SpyPool:
-            def submit(self, fn, *args):
-                helpers.append(fn)
-                return pool.submit(fn, *args)
-
-        monkeypatch.setattr(core, "POOL", SpyPool())
-
-        def draw():
-            return threading.get_ident(), RngStream(6, 2).normals(101, np.float32)
-
-        ident, got = pool.submit(draw).result(timeout=60)
-        assert helpers == [] and threads == {ident}
-        assert got.tobytes() == RngStream(6, 2).normals(101).astype(np.float32).tobytes()
 
     def test_sample_gaussian_is_the_float32_draw(self):
         dims = (1, 2, 3, 5, 7)
@@ -359,20 +335,33 @@ class TestStartedDraws:
         monkeypatch.setattr(core, "_fill_chunk", fill)
         self._join_and_check(rng)
 
-    def test_draw_started_on_a_pool_thread_submits_no_helper(self, monkeypatch):
-        pool = core.POOL
+    def test_draws_on_the_only_pool_thread_finish(self, monkeypatch):
+        """A draw issued, or started ahead, on the pool's only thread queues a
+        helper that cannot start; the join fills every chunk and cancels it."""
+        pool = ThreadPoolExecutor(1, "flowsteer")
         helpers = []
 
         class SpyPool:
             def submit(self, fn, *args):
-                helpers.append(fn)
-                return pool.submit(fn, *args)
+                helpers.append(pool.submit(fn, *args))
+                return helpers[-1]
 
         monkeypatch.setattr(core, "POOL", SpyPool())
-        rng = RngStream(5, 2)
-        pool.submit(rng.start_normals, self.N).result(timeout=60)
-        self._join_and_check(rng)
-        assert helpers == []
+
+        def draws():
+            issued = RngStream(5, 2).normals(self.N)
+            rng = RngStream(5, 2)
+            rng.start_normals(self.N)
+            return issued, rng.normals(self.N)
+
+        try:
+            issued, started = pool.submit(draws).result(timeout=60)
+            assert pool.submit(len, helpers).result(timeout=60) == 2
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        want = _oracle_normals(5, 2, self.N).tobytes()
+        assert issued.tobytes() == want and started.tobytes() == want
+        assert all(future.cancelled() for future in helpers)
 
     def test_failed_join_keeps_the_counter(self, monkeypatch):
         def failing(lo):
@@ -542,6 +531,29 @@ class TestMask:
         mask = load_mask([path], (1, 1, 2))
         assert mask.data[0, 0, 0] == 0 and mask.data[0, 0, 1] == 1
 
+    def test_low_maxval_mask_matches_its_8_bit_copy(self, tmp_path):
+        box = np.zeros((8, 8), dtype=np.uint8)
+        box[2:6, 2:6] = 1
+        low = tmp_path / "low.pgm"
+        low.write_bytes(b"P5\n8 8\n1\n" + box.tobytes())
+        full = tmp_path / "full.pgm"
+        write_pgm(full, box * 255)
+        want = load_mask([full], (1, 8, 8))
+        assert int(want.data.sum()) == 16
+        assert load_mask(low, (1, 8, 8)).data.tobytes() == want.data.tobytes()
+        assert load_mask([low], (1, 8, 8)).data.tobytes() == want.data.tobytes()
+
+    def test_binarizes_above_half_of_maxval(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n4 1\n3\n" + bytes([0, 1, 2, 3]))
+        assert load_mask([path], (1, 1, 4)).data.tolist() == [[[0, 0, 1, 1]]]
+
+    def test_pixel_above_maxval_rejected(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n1\n" + bytes([1, 2]))
+        with pytest.raises(TensorFormatError, match="m.pgm.*above maxval 1"):
+            load_mask([path], (1, 1, 2))
+
     def test_idempotent_at_matched_resolution(self):
         grid = (np.arange(24).reshape(2, 3, 4) % 2).astype(np.uint8)
         assert np.array_equal(resample_mask_any(grid, (2, 3, 4)), grid)
@@ -707,10 +719,11 @@ class TestFillBlocks:
 
 
 class TestStartedSingleChunk:
-    """A started draw of one chunk gets one helper when a second CPU is usable;
-    the joining thread fills the chunk if the helper has not taken it."""
+    """A started draw of one chunk and at least one fill block gets one helper
+    when a second CPU is usable; the joining thread fills the chunk if the
+    helper has not taken it."""
 
-    N = 2001
+    N = 2 * core._FILL_PAIRS + 1  # one chunk: a fill block and one pair more
 
     @staticmethod
     def _spy_pool(monkeypatch, pool=None):
