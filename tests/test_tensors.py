@@ -214,6 +214,45 @@ class TestFloat32Normals:
         assert (n + 1) // 2 > core._CHUNK_PAIRS
         self._check(9, 1, n)
 
+    def test_draw_on_a_pool_thread_runs_inline(self, monkeypatch):
+        """A draw issued, or started ahead, on the pool's only thread queues
+        helpers that cannot start; its join fills every chunk on that thread
+        and cancels them, so the draw never waits on a queued task."""
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+        threads = set()
+        fill = core._fill_chunk
+
+        def recording_fill(*args):
+            threads.add(threading.get_ident())
+            fill(*args)
+
+        monkeypatch.setattr(core, "_fill_chunk", recording_fill)
+        pool = ThreadPoolExecutor(1, "flowsteer")
+        helpers = []
+
+        class SpyPool:
+            def submit(self, fn, *args):
+                helpers.append(pool.submit(fn, *args))
+                return helpers[-1]
+
+        monkeypatch.setattr(core, "POOL", SpyPool())
+
+        def draws():
+            issued = RngStream(6, 2).normals(101, np.float32)
+            rng = RngStream(6, 2)
+            rng.start_normals(101, np.float32)
+            return threading.get_ident(), issued, rng.normals(101, np.float32)
+
+        try:
+            ident, issued, started = pool.submit(draws).result(timeout=60)
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
+        want = _oracle_normals(6, 2, 101).astype(np.float32).tobytes()
+        assert issued.tobytes() == want and started.tobytes() == want
+        assert threads == {ident}
+        assert len(helpers) == 6 and all(future.cancelled() for future in helpers)
+
     def test_sample_gaussian_is_the_float32_draw(self):
         dims = (1, 2, 3, 5, 7)
         got = sample_gaussian(RngStream(3).substream(4), dims)
@@ -335,33 +374,31 @@ class TestStartedDraws:
         monkeypatch.setattr(core, "_fill_chunk", fill)
         self._join_and_check(rng)
 
-    def test_draws_on_the_only_pool_thread_finish(self, monkeypatch):
-        """A draw issued, or started ahead, on the pool's only thread queues a
-        helper that cannot start; the join fills every chunk and cancels it."""
-        pool = ThreadPoolExecutor(1, "flowsteer")
+    def test_draw_started_on_a_pool_thread_submits_no_helper(self, monkeypatch):
+        """A draw below one fill block, started on a ``POOL`` thread and joined
+        on another, submits no helper and makes no CPU query: the draw alone
+        decides its helpers, wherever it starts."""
+        monkeypatch.setattr(core, "_CHUNK_PAIRS", 128)
+        monkeypatch.setattr(core, "_FILL_PAIRS", 128)
+        assert (self.N + 1) // 2 < 128
+
+        def forbidden():
+            raise AssertionError("a draw below one fill block must not query CPUs")
+
+        monkeypatch.setattr(core, "_usable_cpus", forbidden)
+        pool = core.POOL
         helpers = []
 
         class SpyPool:
             def submit(self, fn, *args):
-                helpers.append(pool.submit(fn, *args))
-                return helpers[-1]
+                helpers.append(fn)
+                return pool.submit(fn, *args)
 
         monkeypatch.setattr(core, "POOL", SpyPool())
-
-        def draws():
-            issued = RngStream(5, 2).normals(self.N)
-            rng = RngStream(5, 2)
-            rng.start_normals(self.N)
-            return issued, rng.normals(self.N)
-
-        try:
-            issued, started = pool.submit(draws).result(timeout=60)
-            assert pool.submit(len, helpers).result(timeout=60) == 2
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        want = _oracle_normals(5, 2, self.N).tobytes()
-        assert issued.tobytes() == want and started.tobytes() == want
-        assert all(future.cancelled() for future in helpers)
+        rng = RngStream(5, 2)
+        pool.submit(rng.start_normals, self.N).result(timeout=60)
+        self._join_and_check(rng)
+        assert helpers == []
 
     def test_failed_join_keeps_the_counter(self, monkeypatch):
         def failing(lo):
