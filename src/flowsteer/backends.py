@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import RngStream, clamp_time
 from .errors import ShapeMismatchError
-from .sar import TargetTokenSet, _token_extreme
+from .sar import TargetTokenSet
 
 # Hook over the pre-softmax (L, F*H*W) logit array, one row per text token; second
 # argument is the attention layer index. It returns the logits to softmax, its input
@@ -196,15 +195,12 @@ def gaussian_velocity(
     return r
 
 
-@lru_cache(maxsize=8)
 def _voxel_grid(frames: int, height: int, width: int) -> np.ndarray:
-    """Read-only (F*H*W, 3) matrix of normalized cell-center coordinates."""
+    """(F*H*W, 3) matrix of normalized cell-center coordinates."""
     fs = (np.arange(frames, dtype=np.float32) + np.float32(0.5)) / np.float32(frames)
     hs = (np.arange(height, dtype=np.float32) + np.float32(0.5)) / np.float32(height)
     ws = (np.arange(width, dtype=np.float32) + np.float32(0.5)) / np.float32(width)
-    grid = np.stack(np.meshgrid(fs, hs, ws, indexing="ij"), axis=-1)
-    grid.flags.writeable = False  # locks the owner, so no view can be made writeable
-    return grid.reshape(-1, 3)
+    return np.stack(np.meshgrid(fs, hs, ws, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 class _ToyBuffers:
@@ -318,7 +314,7 @@ def _softmax_tokens(
     """
     # 0 * min is +-0 while every logit is finite and NaN once one is -inf or NaN (+inf
     # already makes its column NaN), so no non-finite logit passes as an exact zero weight.
-    _token_extreme(logits, np.maximum, out=shift)
+    np.maximum.reduce(logits, axis=0, out=shift)
     shift += 0 * logits.min()
     probs = np.subtract(logits, shift, out=out)
     np.exp(probs, out=probs)
@@ -331,14 +327,14 @@ def toy_attention_velocity(
     t: float,
     cond: ToyAttentionCondition,
     hook: Optional[AttentionHook] = None,
-    layer: int = 0,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Attention-mixed velocity, written into ``out`` (C-contiguous) when given.
 
     Queries are a fixed linear map of voxel coordinates and local channel
     values; logits are K Q^T / temperature, one (L, F*H*W) array per sample.
-    The hook, when given, runs on the pre-softmax logits of each sample.
+    The hook, when given, runs on the pre-softmax logits of each sample, as
+    layer 0: the toy field has one attention layer.
     The temporaries are the calling thread's buffers, reused by its next
     call; the velocity is ``out`` or a new array, never one of them.
     """
@@ -355,7 +351,7 @@ def toy_attention_velocity(
         logits = _matmul(cond.text_keys, bufs.queries, bufs.logits)
         logits /= np.float32(cond.temperature)
         if hook is not None:
-            logits = hook(logits, layer)
+            logits = hook(logits, 0)
         probs = _softmax_tokens(logits, bufs.probs, bufs.shift, bufs.scratch)
         _matmul(cond.text_values.T, probs, result[b].reshape(channels, -1))
     return result

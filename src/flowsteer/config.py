@@ -307,14 +307,14 @@ def resolve_mask(spec: RunSpec, latent: VideoLatent, frames: Optional[int] = Non
     recipe = _substitute_frames(spec.io.mask, frames)
     grid_shape = (latent.dims.frames, latent.dims.height, latent.dims.width)
     if recipe == "ones":
-        return EditMask(np.ones(grid_shape, dtype=np.uint8))
+        return EditMask(np.ones(grid_shape, dtype=bool))
     if recipe == "zeros":
-        return EditMask(np.zeros(grid_shape, dtype=np.uint8))
+        return EditMask(np.zeros(grid_shape, dtype=bool))
     if recipe.startswith("box:"):
         spans = recipe.removeprefix("box:").split(",")
         if len(spans) != 3:
             raise ConfigError("io.mask", f"box needs three ranges, got {recipe!r}")
-        bits = np.zeros(grid_shape, dtype=np.uint8)
+        bits = np.zeros(grid_shape, dtype=bool)
         slices = []
         for axis, span in enumerate(spans):
             lo_raw, _, hi_raw = span.partition(":")
@@ -325,7 +325,7 @@ def resolve_mask(spec: RunSpec, latent: VideoLatent, frames: Optional[int] = Non
                     "io.mask", f"range {span!r} out of bounds for axis size {grid_shape[axis]}"
                 )
             slices.append(slice(lo, hi))
-        bits[tuple(slices)] = 1
+        bits[tuple(slices)] = True
         return EditMask(bits)
     paths = [Path(tok.strip()) for tok in recipe.split(",") if tok.strip()]
     for p in paths:

@@ -16,9 +16,10 @@ Conventions fixed here and relied on by every other module:
   single FATN tensor of dims ``(F, H, W)``. Values are binarized (above half
   the PGM's maxval, so ``> 127`` at 255; ``> 0.5`` for float inputs) and
   resampled to the latent grid with an any-coverage rule: a latent cell is
-  1 if any source cell whose extent intersects it is 1. The rule dilates
+  set if any source cell whose extent intersects it is set. The rule dilates
   rather than erodes, so thin scribbles survive downsampling, and it is the
-  identity at matched resolution.
+  identity at matched resolution. An ``EditMask`` holds the result as a
+  read-only bool array, so its consumers use it as a selector directly.
 
 * Random draws use a counter-based generator so that a ``(seed, counter)``
   pair fully determines every value, independent of draw batching,
@@ -131,7 +132,10 @@ class VideoLatent:
 
 @dataclass(frozen=True)
 class EditMask:
-    """Binary (0/1) tensor of shape (F, H, W) marking the intended edit region."""
+    """Binary tensor of shape (F, H, W) marking the intended edit region.
+
+    ``data`` is a read-only C-contiguous bool array. Other dtypes are taken
+    when every entry is 0 or 1."""
 
     data: np.ndarray
 
@@ -141,17 +145,11 @@ class EditMask:
             raise ShapeMismatchError(f"mask must have dims (F, H, W), got shape {arr.shape}")
         if any(d < 1 for d in arr.shape):
             raise ShapeMismatchError(f"all mask dims must be >= 1, got {arr.shape}")
-        if arr.dtype != np.uint8:
-            out = np.zeros(arr.shape, dtype=np.uint8)
-            bad = ~((arr == 0) | (arr == 1))
-            if bad.any():
+        if arr.dtype != bool:
+            if ((arr != 0) & (arr != 1)).any():
                 raise ValueError("mask entries must be 0 or 1")
-            out[arr == 1] = 1
-            arr = out
-        elif ((arr != 0) & (arr != 1)).any():
-            raise ValueError("mask entries must be 0 or 1")
-        arr = np.ascontiguousarray(arr)
-        arr = arr.view()
+            arr = arr == 1
+        arr = np.ascontiguousarray(arr).view()
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -161,7 +159,7 @@ class EditMask:
 
     def flat(self) -> np.ndarray:
         """Voxel-order (F slow, W fast) boolean view, length F*H*W."""
-        return self.data.reshape(-1).astype(bool)
+        return self.data.reshape(-1)
 
     def is_empty(self) -> bool:
         return not self.data.any()
@@ -585,17 +583,12 @@ def write_fatn(path: str | Path, array: np.ndarray) -> None:
 def read_fatn(path: str | Path) -> np.ndarray:
     """Read a FATN file; raises TensorFormatError on any malformation."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise TensorFormatError(f"{path}: truncated header")
-            if ch == b"\n":
-                break
-            header += ch
+        header = fh.readline(_MAX_HEADER_BYTES + 1)
+        if not header.endswith(b"\n"):
             if len(header) > _MAX_HEADER_BYTES:
                 raise TensorFormatError(f"{path}: header exceeds {_MAX_HEADER_BYTES} bytes")
-        fields = bytes(header).split()
+            raise TensorFormatError(f"{path}: truncated header")
+        fields = header.split()
         if not fields or fields[0] != _FATN_MAGIC:
             raise TensorFormatError(f"{path}: missing FATN magic")
         try:
@@ -659,7 +652,8 @@ def _read_pgm_token(fh) -> bytes:
 
 def read_pgm(path: str | Path, mask: bool = False) -> np.ndarray:
     """Read an 8-bit binary PGM (P5) into a (H, W) uint8 array, or with ``mask``
-    into a bool array of the pixels above half its maxval (``2 * v > maxval``)."""
+    into a bool array of the pixels above half its maxval (``2 * v > maxval``).
+    The file must hold exactly one image: bytes after its payload are rejected."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
         if magic != b"P5":
@@ -674,9 +668,11 @@ def read_pgm(path: str | Path, mask: bool = False) -> np.ndarray:
             raise TensorFormatError(f"{path}: zero-size image")
         if not 0 < maxval <= 255:
             raise TensorFormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-        payload = fh.read(width * height)
+        payload = fh.read(width * height + 1)
         if len(payload) < width * height:
             raise TensorFormatError(f"{path}: truncated PGM payload")
+        if len(payload) > width * height:
+            raise TensorFormatError(f"{path}: trailing bytes after payload")
     image = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
     if image.max() > maxval:
         raise TensorFormatError(f"{path}: pixel value {image.max()} above maxval {maxval}")
@@ -713,7 +709,8 @@ def _coverage_blocks(n_src: int, n_dst: int) -> list[tuple[int, int]]:
 
 
 def resample_mask_any(mask: np.ndarray, dst_shape: tuple[int, int, int]) -> np.ndarray:
-    """Any-coverage (dilating) resample of a binary (F, H, W) grid."""
+    """Any-coverage (dilating) resample of a binary (F, H, W) grid, as a new
+    C-contiguous bool array."""
     src = np.asarray(mask, dtype=bool)
     if src.ndim != 3:
         raise ShapeMismatchError(f"mask grid must be 3-d, got shape {src.shape}")
@@ -727,7 +724,7 @@ def resample_mask_any(mask: np.ndarray, dst_shape: tuple[int, int, int]) -> np.n
         for i, (a, b) in enumerate(_coverage_blocks(n_src, n_dst)):
             reduced[i] = moved[a:b].any(axis=0)
         out = np.moveaxis(reduced, 0, axis)
-    return out.astype(np.uint8)
+    return out.copy()
 
 
 def load_mask(

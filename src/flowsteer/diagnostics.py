@@ -40,26 +40,25 @@ def binarize_signal(
     *,
     absolute: bool = False,
 ) -> np.ndarray:
-    """Per-sample binary map (B, F, H, W) of where the signal is strong.
+    """Per-sample bool map (B, F, H, W) of where the signal is strong.
 
     Channel-mean |dv| is min-max normalized per sample and cut strictly
     above ``threshold``; a constant signal therefore binarizes to all
-    zeros. With ``absolute`` the caller passes |dv| itself.
+    False. With ``absolute`` the caller passes |dv| itself.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     normalized = contrast_map(dv if absolute else np.abs(dv), eps)[:, 0]
-    return (normalized > threshold).astype(np.uint8)
+    return normalized > threshold
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two binary grids; empty vs empty is 1."""
+    """Intersection over union of two binary grids (nonzero is set); empty vs
+    empty is 1."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"iou operands differ in shape: {a.shape} vs {b.shape}")
-    a = a.astype(bool)
-    b = b.astype(bool)
     union = np.logical_or(a, b).sum()
     if union == 0:
         return 1.0

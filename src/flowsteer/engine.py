@@ -141,7 +141,7 @@ def blend_baseline(
         raise ShapeMismatchError(
             f"mask shape {mask.shape} does not match latent grid {z_edit.shape[2:]}"
         )
-    keep = mask.data.astype(bool)[None, None]
+    keep = mask.data[None, None]
     if not in_place:
         return np.where(keep, z_edit, z_reference)
     np.copyto(z_edit, z_reference, where=~keep)

@@ -123,7 +123,7 @@ def masked_psnr(a: np.ndarray, b: np.ndarray, mask: EditMask, peak: float = 1.0)
         raise ShapeMismatchError(f"mask {mask.shape} does not match video grid {va.shape[-3:]}")
     if not peak > 0.0:
         raise ValueError(f"peak must be positive, got {peak}")
-    outside = ~mask.data.astype(bool)
+    outside = ~mask.data
     if not outside.any():
         raise ValueError("mask covers everything; the metric region is empty")
     diff = va[..., outside] - vb[..., outside]
@@ -234,7 +234,7 @@ def local_structure_similarity(
         raise ValueError("mask is empty; no region to compare")
     sims = []
     for f in range(vs.shape[0]):
-        bits = mask.data[f].astype(bool)
+        bits = mask.data[f]
         if not bits.any():
             continue
         rows = np.nonzero(bits.any(axis=1))[0]

@@ -21,9 +21,11 @@ t_max and only on configured layers.
 The logits are a plain (L, F*H*W) array whose columns follow the mask's
 flattened voxel order. The passes take a boolean column selector (the
 masked voxels) and a boolean row selector (the target tokens);
-``apply_sar`` builds both from the ``EditMask`` and ``TargetTokenSet`` once
-per call and checks the mask's voxel count against the logit columns
-there. A pass that changes nothing returns its input array itself;
+``apply_sar`` takes the first as a view of the ``EditMask``'s bool data and
+builds the second from the ``TargetTokenSet``, once per call, and checks
+the mask's voxel count against the logit columns there. Column and row
+extrema are numpy's own max/min reductions over the token or voxel axis.
+A pass that changes nothing returns its input array itself;
 otherwise it returns a new array and leaves its input unwritten, unless the
 spatio-temporal pass is asked to work in place.
 """
@@ -93,26 +95,6 @@ class SarConfig:
         return self.layer_set is None or layer in self.layer_set
 
 
-def _token_extreme(
-    logits: np.ndarray, ufunc: np.ufunc, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """(N,) token max (``np.maximum``) or min (``np.minimum``) of an (L, N) array.
-
-    Folds the L token rows into one with L - 1 whole-row ufunc calls, written
-    into ``out`` when given. The values equal ``ufunc.reduce`` of the (N, L)
-    transpose over its token axis, NaN included; only the sign of a zero
-    extremum from a +0/-0 tie may differ, as it already does between numpy's
-    own SIMD widths.
-    """
-    if out is None:
-        out = logits[0].copy()
-    else:
-        np.copyto(out, logits[0])
-    for j in range(1, logits.shape[0]):
-        ufunc(out, logits[j], out=out)
-    return out
-
-
 def _convex_step(sub: np.ndarray, pulled: np.ndarray, beta: float) -> np.ndarray:
     """(1 - beta) * sub + beta * pulled, computed in place in both operands."""
     np.multiply(sub, 1.0 - beta, out=sub)
@@ -136,10 +118,10 @@ def text_token_modulation(
         raise ValueError(f"beta1 must be in [0, 1], got {beta1}")
     if beta1 == 0.0 or not mask_cols.any():
         return logits
-    sub = logits[:, mask_cols]
-    tok_max = _token_extreme(sub, np.maximum)
-    tok_min = _token_extreme(sub, np.minimum)
-    pulled = np.where(tar_rows[:, None], tok_max, tok_min)
+    # compress keeps the token-major layout; logits[:, mask_cols] comes out voxel-major,
+    # where each token reduction walks a short row per voxel, several times slower
+    sub = logits.compress(mask_cols, axis=1)
+    pulled = np.where(tar_rows[:, None], sub.max(axis=0), sub.min(axis=0))
     out = logits.copy()
     out[:, mask_cols] = _convex_step(sub, pulled, beta1)
     return out

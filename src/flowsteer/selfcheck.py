@@ -328,11 +328,11 @@ def check_blend_locality() -> tuple[bool, str]:
     rng = RngStream(707)
     dims = (1, 2, 3, 4, 4)
     for k in range(100):
-        bits = np.zeros(dims[2:], dtype=np.uint8)
+        bits = np.zeros(dims[2:], dtype=bool)
         f0 = int(rng.uniforms(1)[0] * 2)
         h0 = int(rng.uniforms(1)[0] * 3)
         w0 = int(rng.uniforms(1)[0] * 3)
-        bits[f0 : f0 + 1, h0 : h0 + 2, w0 : w0 + 2] = 1
+        bits[f0 : f0 + 1, h0 : h0 + 2, w0 : w0 + 2] = True
         cfg = EditConfig(
             grid=TimeGrid.uniform(8, skip=1),
             sar=SarConfig(),
@@ -344,7 +344,7 @@ def check_blend_locality() -> tuple[bool, str]:
         )
         x = VideoLatent(rng.normals(int(np.prod(dims))).astype(np.float32).reshape(dims))
         result, _ = run_edit(x, cfg, registry)
-        outside = ~bits.astype(bool)
+        outside = ~bits
         if not np.array_equal(result.data[:, :, outside], x.data[:, :, outside]):
             return False, f"case {k}: background changed"
     return True, "100 cases background-exact"

@@ -16,7 +16,6 @@ from flowsteer.backends import (
     _softmax_tokens,
     _token_sum,
     _toy_buffers,
-    _voxel_grid,
     gaussian_velocity,
     make_toy_condition_pair,
     toy_attention_velocity,
@@ -315,14 +314,6 @@ class TestToyAttentionKernels:
                 want = meshgrid_voxel_features(state, sample).T
                 assert got.dtype == want.dtype and got.flags.writeable
                 assert got.tobytes() == want.tobytes()
-
-    def test_voxel_grid_is_cached_and_read_only(self):
-        grid = _voxel_grid(3, 4, 5)
-        assert _voxel_grid(3, 4, 5) is grid
-        with pytest.raises(ValueError):
-            grid[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            grid.flags.writeable = True
 
 
 def toy_case(batch, tokens, dims=(2, 3, 5, 7), seed=5):

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsteer import EditMask, RngStream, TimeGrid
+from flowsteer import sar
 from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import (
-    _token_extreme,
     SarConfig,
     TargetTokenSet,
     apply_sar,
@@ -104,31 +104,51 @@ def token_major(logits):
     return np.ascontiguousarray(logits.T)
 
 
+def pulled_extrema(logits, tar_rows):
+    """The (L, N) array of token extrema that ``text_token_modulation`` pulls
+    every column of token-major ``logits`` toward: each target row holds the
+    column max, each other row the column min."""
+    seen = []
+    step = sar._convex_step
+
+    def spy(sub, pulled, beta):
+        seen.append(pulled.copy())
+        return step(sub, pulled, beta)
+
+    cols = np.ones(logits.shape[1], dtype=bool)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(sar, "_convex_step", spy)
+        text_token_modulation(logits, cols, tar_rows, 0.5)
+    (pulled,) = seen
+    return pulled
+
+
 class TestRowExtreme:
-    # The token loop equals numpy's reduction of the row-major matrix bit for
-    # bit, except the sign of a zero extremum from a +0/-0 tie: numpy's SIMD
-    # reduction resolves that tie differently when the row length is 1 plus a
-    # multiple of its vector width (L = 17 on AVX-512), so signed-zero rows are
-    # compared up to zero signs.
+    # numpy's reduction over the token axis of the token-major array equals its
+    # reduction of the row-major matrix bit for bit, except the sign of a zero
+    # extremum from a +0/-0 tie: numpy's SIMD reduction resolves that tie
+    # differently when the row length is 1 plus a multiple of its vector width
+    # (L = 17 on AVX-512), so signed-zero rows are compared up to zero signs.
     @pytest.mark.parametrize("voxels", ORACLE_VOXELS)
     @pytest.mark.parametrize("kind", ["finite", "nonfinite", "signed_zero"])
     def test_matches_reduce(self, kind, voxels):
         for tokens in ORACLE_TOKENS:
             logits = special_logits(voxels, tokens, kind)
-            for ufunc in (np.maximum, np.minimum):
-                got = _token_extreme(token_major(logits), ufunc)
-                assert got.shape == (voxels,) and got.dtype == logits.dtype
+            for ufunc, target in ((np.maximum, True), (np.minimum, False)):
+                tar_rows = np.full(tokens, target)
+                got = pulled_extrema(token_major(logits), tar_rows)
                 want = ufunc.reduce(logits, axis=1)
-                assert_same_bits(got, want, zero_sign_free=kind == "signed_zero")
-                into = np.full(voxels, np.nan, logits.dtype)
-                assert _token_extreme(token_major(logits), ufunc, out=into) is into
-                assert into.tobytes() == got.tobytes()
+                assert got.shape == (tokens, voxels) and got.dtype == logits.dtype
+                for row in got:
+                    assert_same_bits(row, want, zero_sign_free=kind == "signed_zero")
 
     def test_leaves_input_unchanged(self):
         logits = token_major(special_logits(320, 9, "finite"))
         before = logits.copy()
-        _token_extreme(logits, np.maximum)
-        _token_extreme(logits, np.minimum)
+        rows = np.arange(320) % 3 != 0
+        tar = TargetTokenSet.of(0, 4).token_selector(9)
+        out = text_token_modulation(logits, rows, tar, 0.3)
+        assert out is not logits
         assert logits.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("voxels", ORACLE_VOXELS)

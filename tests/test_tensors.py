@@ -516,6 +516,25 @@ class TestFatnIO:
         with pytest.raises(TensorFormatError, match="trailing"):
             read_fatn(path)
 
+    def test_header_of_max_length_accepted(self, tmp_path):
+        path = tmp_path / "wide.fatn"
+        header = b"FATN 1 1".ljust(core._MAX_HEADER_BYTES)
+        path.write_bytes(header + b"\n" + np.float32(2.5).tobytes())
+        assert read_fatn(path).tolist() == [2.5]
+
+    def test_header_over_max_length_rejected(self, tmp_path):
+        path = tmp_path / "wide.fatn"
+        header = b"FATN 1 1".ljust(core._MAX_HEADER_BYTES + 1)
+        path.write_bytes(header + b"\n" + np.float32(2.5).tobytes())
+        with pytest.raises(TensorFormatError, match="header exceeds 4096 bytes"):
+            read_fatn(path)
+
+    def test_eof_before_header_newline(self, tmp_path):
+        path = tmp_path / "cut.fatn"
+        path.write_bytes(b"FATN 1 1")
+        with pytest.raises(TensorFormatError, match="truncated header"):
+            read_fatn(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "magic.fatn"
         path.write_bytes(b"NTAF 1 1\n\x00\x00\x00\x00")
@@ -540,6 +559,45 @@ class TestMask:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             EditMask(np.full((1, 2, 2), 3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32, np.float64])
+    def test_zero_one_inputs_give_equal_bool_data(self, dtype):
+        bits = np.array([[[1, 0], [0, 1]], [[0, 0], [1, 1]]])
+        mask = EditMask(bits.astype(dtype))
+        assert mask.data.dtype == bool and mask.data.flags.c_contiguous
+        assert not mask.data.flags.writeable
+        assert mask.data.tobytes() == (bits == 1).tobytes()
+
+    @pytest.mark.parametrize("bad", [2.0, np.nan])
+    def test_rejects_two_and_nan(self, bad):
+        bits = np.zeros((1, 2, 2))
+        bits[0, 1, 1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            EditMask(bits)
+
+    def test_flat_is_a_view(self):
+        mask = EditMask(np.ones((2, 3, 4), dtype=np.uint8))
+        flat = mask.flat()
+        assert flat.shape == (24,) and flat.dtype == bool
+        assert np.shares_memory(flat, mask.data)
+
+    def test_pgm_holding_two_images_rejected(self, tmp_path):
+        path = tmp_path / "two.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(4) + b"P5\n2 2\n255\n" + bytes([255] * 4))
+        with pytest.raises(TensorFormatError, match="two.pgm: trailing bytes after payload"):
+            load_mask(path, (1, 2, 2))
+
+    def test_pgm_trailing_garbage_rejected(self, tmp_path):
+        path = tmp_path / "tail.pgm"
+        path.write_bytes(b"P5 2 1 255 " + bytes([0xFF, 0x00]) + b"garbage")
+        with pytest.raises(TensorFormatError, match="trailing bytes after payload"):
+            load_mask([path], (1, 1, 2))
+
+    def test_written_pgm_loads(self, tmp_path):
+        img = np.array([[0, 255, 128], [127, 200, 1]], dtype=np.uint8)
+        path = tmp_path / "w.pgm"
+        write_pgm(path, img)
+        assert load_mask(path, (1, 2, 3)).data.tolist() == [(img > 127).tolist()]
 
     def test_all_zero_source(self, tmp_path):
         path = tmp_path / "m.fatn"
