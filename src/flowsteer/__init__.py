@@ -33,7 +33,7 @@ from .core import (
     save_tensor,
     write_fatn,
 )
-from .diagnostics import binarize_signal, frame_sweep, iou, magnitude_stats
+from .diagnostics import binarize_signal, iou, magnitude_stats
 from .engine import (
     EditConfig,
     EditReport,
@@ -51,6 +51,7 @@ from .metrics import (
     masked_psnr,
     warp_error,
 )
+from .runner import frame_sweep
 from .sar import (
     SarConfig,
     TargetTokenSet,

@@ -15,12 +15,16 @@ runs the full property/oracle gate and prints one line per criterion.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-from .config import parse_config, with_out_dir, with_seed
+from .config import parse_config, resolve_mask, run_dir, with_out_dir, with_seed
+from .core import load_tensor
+from .diagnostics import sweep_rows_to_csv
 from .errors import FlowSteerError
-from .runner import run_batch
+from .runner import evaluate_metrics, frame_sweep, run_batch
+from .selfcheck import CRITERIA, run_criteria
 
 
 def _cmd_edit(args: argparse.Namespace) -> int:
@@ -37,51 +41,33 @@ def _cmd_edit(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .config import build_backend, build_edit_config, resolve_mask, resolve_source
-    from .diagnostics import frame_sweep, sweep_rows_to_csv
-
     spec = parse_config(args.config)
     if args.out:
         spec = with_out_dir(spec, args.out)
     tokens = [tok.strip() for tok in args.frames.split(",") if tok.strip()]
-    if not tokens or not all(tok.isdigit() for tok in tokens):
+    # isdigit() alone admits digits such as "²" that int() rejects
+    if not tokens or not all(tok.isascii() and tok.isdigit() and int(tok) > 0 for tok in tokens):
         print(
-            f"error: --frames needs a comma list of frame counts, got {args.frames!r}",
+            f"error: --frames needs a comma list of positive frame counts, got {args.frames!r}",
             file=sys.stderr,
         )
         return 2
-    frame_counts = [int(tok) for tok in tokens]
-
-    def family(frames: int):
-        source = resolve_source(spec, frames=frames)
-        return source, resolve_mask(spec, source, frames=frames)
-
-    probe_source, probe_mask = family(frame_counts[0])
-    backend = build_backend(spec, probe_source)
-    base_cfg = build_edit_config(spec, probe_mask)
-    rows = frame_sweep(family, base_cfg, backend, frame_counts)
-    out_dir = Path(spec.io.out_dir) / spec.io.scenario
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
+    rows = frame_sweep(spec, [int(tok) for tok in tokens])
+    csv_path = run_dir(spec) / "sweep.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     print(f"{len(rows)} rows -> {csv_path}")
     return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
-    from .config import resolve_mask
-    from .core import load_tensor
-    from .runner import evaluate_metrics
-
     spec = parse_config(args.config)
-    run_dir = Path(spec.io.out_dir) / spec.io.scenario
-    source_path = run_dir / "source.fatn"
-    edited_path = Path(spec.metrics.edited) if spec.metrics.edited else run_dir / "result.fatn"
+    out = run_dir(spec)
+    source_path = out / "source.fatn"
+    edited_path = Path(spec.metrics.edited) if spec.metrics.edited else out / "result.fatn"
     if not source_path.exists() or not edited_path.exists():
         print(
-            f"error: missing artifacts under {run_dir}; run `flowsteer edit` first",
+            f"error: missing artifacts under {out}; run `flowsteer edit` first",
             file=sys.stderr,
         )
         return 2
@@ -94,10 +80,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    from .selfcheck import run_criteria
-
-    wanted = [args.criterion] if args.criterion else None
-    results = run_criteria(wanted)
+    numbers = [number for number, _, _ in CRITERIA]
+    if args.criterion is not None and args.criterion not in numbers:
+        print(
+            f"error: --criterion must be one of {numbers[0]}..{numbers[-1]}, got {args.criterion}",
+            file=sys.stderr,
+        )
+        return 2
+    results = run_criteria(None if args.criterion is None else [args.criterion])
     failed = 0
     for res in results:
         state = "PASS" if res.ok else "FAIL"

@@ -11,8 +11,8 @@ default configuration; ``SCHEMA`` below declares every key.
 ``gaussian:B,C,F,H,W`` drawn from substream 0 of the run seed.
 ``io.mask`` is ``ones``, ``zeros``, ``box:f0:f1,h0:h1,w0:w1`` (half-open
 latent-grid ranges), or a mask file path (.fatn, or .pgm frames separated
-by commas). In sweep runs the frame-count slot of either recipe may be the
-letter ``F``, substituted per sweep point.
+by commas). For sweeps the frame-count slot of either recipe may be the
+letter ``F``, which ``with_frames`` substitutes per sweep point.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class RunSpec:
     amm: AmmConfig = field(default_factory=AmmConfig)
     io: IoSpec = field(default_factory=IoSpec)
     metrics: MetricsSpec = field(default_factory=MetricsSpec)
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid.uniform(self.steps, self.skip)
 
 
 def _parse_lines(text: str, origin: str) -> dict[str, dict[str, str]]:
@@ -282,16 +279,9 @@ def emit_config(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _substitute_frames(recipe: str, frames: Optional[int]) -> str:
-    # only synthesis recipes carry the F placeholder; paths are left alone
-    if frames is None or not (recipe.startswith("gaussian:") or recipe.startswith("box:")):
-        return recipe
-    return recipe.replace("F", str(frames))
-
-
-def resolve_source(spec: RunSpec, frames: Optional[int] = None) -> VideoLatent:
+def resolve_source(spec: RunSpec) -> VideoLatent:
     """Load or synthesize the source latent; substream 0 feeds synthesis."""
-    recipe = _substitute_frames(spec.io.source, frames)
+    recipe = spec.io.source
     if recipe.startswith("gaussian:"):
         dims = _as_int_list("io.source", recipe.removeprefix("gaussian:"))
         if len(dims) != 5 or any(d < 1 for d in dims):
@@ -303,8 +293,8 @@ def resolve_source(spec: RunSpec, frames: Optional[int] = None) -> VideoLatent:
     return load_tensor(path)
 
 
-def resolve_mask(spec: RunSpec, latent: VideoLatent, frames: Optional[int] = None) -> EditMask:
-    recipe = _substitute_frames(spec.io.mask, frames)
+def resolve_mask(spec: RunSpec, latent: VideoLatent) -> EditMask:
+    recipe = spec.io.mask
     grid_shape = (latent.dims.frames, latent.dims.height, latent.dims.width)
     if recipe == "ones":
         return EditMask(np.ones(grid_shape, dtype=bool))
@@ -370,7 +360,7 @@ def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
 
 def build_edit_config(spec: RunSpec, mask: EditMask) -> EditConfig:
     return EditConfig(
-        grid=spec.grid(),
+        grid=TimeGrid.uniform(spec.steps, spec.skip),
         sar=spec.sar,
         amm=spec.amm,
         mask=mask,
@@ -388,3 +378,20 @@ def with_seed(spec: RunSpec, seed: int) -> RunSpec:
 
 def with_out_dir(spec: RunSpec, out_dir: str) -> RunSpec:
     return replace(spec, io=replace(spec.io, out_dir=out_dir))
+
+
+def with_frames(spec: RunSpec, frames: int) -> RunSpec:
+    """``spec`` with every ``F`` of a ``gaussian:`` or ``box:`` recipe replaced by
+    ``frames``; paths, ``ones`` and ``zeros`` are left alone."""
+
+    def substitute(recipe: str) -> str:
+        synthesized = recipe.startswith(("gaussian:", "box:"))
+        return recipe.replace("F", str(frames)) if synthesized else recipe
+
+    io = spec.io
+    return replace(spec, io=replace(io, source=substitute(io.source), mask=substitute(io.mask)))
+
+
+def run_dir(spec: RunSpec) -> Path:
+    """The directory a run writes its artifacts into: ``out_dir/<scenario>``."""
+    return Path(spec.io.out_dir) / spec.io.scenario

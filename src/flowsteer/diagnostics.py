@@ -1,5 +1,5 @@
 """Editing-signal instrumentation: binarized-signal IoU, magnitude stats,
-and frame-count sweeps.
+and the per-step diagnostics table.
 
 The binarization reuses the modulation module's per-sample min-max
 normalization, applied to the channel-mean absolute signal, and cuts at a
@@ -10,22 +10,17 @@ defined as 1 (perfect agreement of emptiness). Signals are float32
 
 The editing loop takes a signal's statistics before the step overwrites it,
 from one |dv| that it passes to both statistics with ``absolute=True``.
-
-No claim is made that the toy backends reproduce any particular attenuation
-trend over frame counts; the sweep is bookkeeping around real runs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .amm import contrast_map
-from .core import EditMask, VideoLatent
 from .errors import ShapeMismatchError
 
 DEFAULT_BINARIZE_THRESHOLD = 0.5
@@ -80,34 +75,6 @@ def magnitude_stats(
 def report_rows(report) -> list[tuple[int, int, float, float, float]]:
     """(F, step, mean_abs, iou, gamma_f) rows of an ``EditReport``, one per step."""
     return [(report.frames, rec.index, rec.mean_abs, rec.iou, report.gain) for rec in report.steps]
-
-
-def frame_sweep(
-    family: Callable[[int], tuple[VideoLatent, EditMask]],
-    base_cfg,
-    backend,
-    frame_counts: Sequence[int],
-) -> list[tuple[int, int, float, float, float]]:
-    """Run one edit per frame count and tabulate per-step diagnostics.
-
-    ``family(F)`` must supply the source latent and the mask at that
-    latent frame count; everything else (grid, strengths, seed) comes from
-    ``base_cfg`` so runs are comparable. Rows are
-    (F, step, mean_abs, iou, gamma_f).
-    """
-    from .engine import run_edit
-
-    rows: list[tuple[int, int, float, float, float]] = []
-    for frames in frame_counts:
-        x_src, mask = family(int(frames))
-        if x_src.dims.frames != frames or mask.shape[0] != frames:
-            raise ShapeMismatchError(
-                f"family returned {x_src.dims.frames} frames, requested {frames}"
-            )
-        cfg = replace(base_cfg, mask=mask)
-        _, report = run_edit(x_src, cfg, backend)
-        rows.extend(report_rows(report))
-    return rows
 
 
 def sweep_rows_to_csv(rows: Sequence[tuple[int, int, float, float, float]]) -> str:

@@ -1,4 +1,4 @@
-"""Batch execution and artifact emission.
+"""Batch execution, artifact emission and frame-count sweeps.
 
 Each run gets its own directory ``out_dir/<scenario>/`` holding:
 
@@ -32,11 +32,13 @@ from .config import (
     config_echo,
     resolve_mask,
     resolve_source,
+    run_dir,
+    with_frames,
 )
 from .core import EditMask, VideoLatent, read_fatn, save_tensor, write_pgm
 from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, report_rows, sweep_rows_to_csv
 from .engine import EditReport, run_edit
-from .errors import ConfigError, FlowSteerError
+from .errors import ConfigError, FlowSteerError, ShapeMismatchError
 from .metrics import (
     FlowField,
     ToyFrameEmbedder,
@@ -177,26 +179,26 @@ def emit_report(
 
 
 def execute_run(spec: RunSpec) -> RunOutcome:
-    run_dir = Path(spec.io.out_dir) / spec.io.scenario
+    out = run_dir(spec)
     try:
         source = resolve_source(spec)
         mask = resolve_mask(spec, source)
         backend = build_backend(spec, source)
         cfg = build_edit_config(spec, mask)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        save_tensor(source, run_dir / "source.fatn")
+        out.mkdir(parents=True, exist_ok=True)
+        save_tensor(source, out / "source.fatn")
         result, report = run_edit(source, cfg, backend)
         metric_values = evaluate_metrics(spec, source, result, mask)
-        save_tensor(result, run_dir / "result.fatn")
-        emit_report(spec, run_dir, report, result, metric_values)
-        return RunOutcome(spec.io.scenario, run_dir, ok=True)
+        save_tensor(result, out / "result.fatn")
+        emit_report(spec, out, report, result, metric_values)
+        return RunOutcome(spec.io.scenario, out, ok=True)
     except (FlowSteerError, OSError, ValueError) as exc:
         message = f"{type(exc).__name__}: {exc}"
         try:
-            emit_report(spec, run_dir, None, None, None, error=message)
+            emit_report(spec, out, None, None, None, error=message)
         except OSError:
             pass
-        return RunOutcome(spec.io.scenario, run_dir, ok=False, error=message)
+        return RunOutcome(spec.io.scenario, out, ok=False, error=message)
 
 
 def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[RunOutcome]]:
@@ -208,13 +210,13 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
     """
     seen: dict[Path, str] = {}
     for spec in specs:
-        run_dir = (Path(spec.io.out_dir) / spec.io.scenario).resolve()
-        if run_dir in seen:
+        out = run_dir(spec).resolve()
+        if out in seen:
             raise ConfigError(
                 "io.scenario",
-                f"runs {seen[run_dir]!r} and {spec.io.scenario!r} both write to {run_dir}",
+                f"runs {seen[out]!r} and {spec.io.scenario!r} both write to {out}",
             )
-        seen[run_dir] = spec.io.scenario
+        seen[out] = spec.io.scenario
     if workers <= 1 or len(specs) <= 1:
         outcomes = [execute_run(spec) for spec in specs]
     else:
@@ -222,3 +224,24 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
             outcomes = list(pool.map(execute_run, specs))
     status = 0 if all(o.ok for o in outcomes) else 1
     return status, outcomes
+
+
+def frame_sweep(
+    spec: RunSpec, frame_counts: Sequence[int]
+) -> list[tuple[int, int, float, float, float]]:
+    """Edit ``with_frames(spec, F)`` for each F, resolved as ``execute_run``
+    resolves a spec, and return the per-step rows (F, step, mean_abs, iou,
+    gamma_f); writes nothing. Raises ShapeMismatchError when the source does
+    not have F frames. No claim is made that the toy backends reproduce any
+    particular attenuation trend over frame counts; the sweep is bookkeeping
+    around real runs."""
+    rows: list[tuple[int, int, float, float, float]] = []
+    for frames in frame_counts:
+        point = with_frames(spec, frames)
+        source = resolve_source(point)
+        if source.dims.frames != frames:
+            raise ShapeMismatchError(f"source has {source.dims.frames} frames, requested {frames}")
+        mask = resolve_mask(point, source)
+        _, report = run_edit(source, build_edit_config(point, mask), build_backend(point, source))
+        rows.extend(report_rows(report))
+    return rows

@@ -21,6 +21,7 @@ from flowsteer.config import (
     parse_config_text,
     resolve_mask,
     resolve_source,
+    with_frames,
     with_out_dir,
 )
 from flowsteer.errors import ConfigError
@@ -179,9 +180,19 @@ class TestResolvers:
             resolve_mask(spec, latent)
 
     def test_frame_placeholder_substitution(self):
-        spec = parse_config_text("[io]\nsource = gaussian:1,2,F,4,4\n")
-        latent = resolve_source(spec, frames=7)
+        spec = with_frames(parse_config_text("[io]\nsource = gaussian:1,2,F,4,4\n"), 7)
+        latent = resolve_source(spec)
         assert latent.dims.frames == 7
+
+    def test_with_frames_replaces_every_f_of_a_box(self):
+        spec = parse_config_text("[io]\nmask = box:0:F,F:F,1:F\n")
+        expected = replace(spec, io=replace(spec.io, mask="box:0:5,5:5,1:5"))
+        assert with_frames(spec, 5) == expected
+
+    @pytest.mark.parametrize("mask", ["ones", "zeros", "masks/F.fatn"])
+    def test_with_frames_leaves_paths_ones_and_zeros_alone(self, mask):
+        spec = parse_config_text(f"[io]\nsource = clips/F.fatn\nmask = {mask}\n")
+        assert with_frames(spec, 5) == spec
 
     def test_build_backend_gaussian(self):
         spec = RunSpec()

@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsteer import EditMask, RngStream, TimeGrid, VideoLatent
+from flowsteer import RngStream, VideoLatent
 from flowsteer.amm import AmmConfig, amplify, contrast_map, gamma_f
-from flowsteer.backends import BackendRegistry, GaussianCondition
+from flowsteer.config import parse_config_text
 from flowsteer.diagnostics import (
     SWEEP_CSV_HEADER,
     binarize_signal,
-    frame_sweep,
     iou,
     magnitude_stats,
     sweep_rows_to_csv,
 )
-from flowsteer.engine import EditConfig
 from flowsteer.errors import ShapeMismatchError
-from flowsteer.sar import SarConfig, TargetTokenSet
+from flowsteer.runner import frame_sweep
 
 from conftest import random_latent
 
@@ -125,62 +123,54 @@ class TestMagnitudeStats:
             assert after >= before
 
 
-def sweep_family(base_seed=31, spatial=(1, 2, 4, 4)):
-    def family(frames):
-        rng = RngStream(base_seed)
-        lat = random_latent(rng, (spatial[0], spatial[1], frames, spatial[2], spatial[3]))
-        mask = EditMask(np.ones((frames, spatial[2], spatial[3]), dtype=np.uint8))
-        return lat, mask
+SWEEP = """
+[backend]
+source_mean = 0.0
+target_mean = {shift}
 
-    return family
+[grid]
+steps = 6
+skip = 1
+
+[sar]
+beta1 = 0.0
+beta2 = 0.0
+
+[io]
+source = gaussian:1,2,F,4,4
+mask = {mask}
+seed = 5
+"""
 
 
-def sweep_cfg(**kw):
-    defaults = dict(
-        grid=TimeGrid.uniform(6, skip=1),
-        sar=SarConfig(beta1=0.0, beta2=0.0),
-        amm=AmmConfig(),
-        mask=EditMask(np.ones((1, 4, 4), dtype=np.uint8)),
-        j_tar=TargetTokenSet.of(0),
-        seed=5,
-    )
-    defaults.update(kw)
-    return EditConfig(**defaults)
+def sweep_spec(shift=1.0, mask="ones"):
+    return parse_config_text(SWEEP.format(shift=shift, mask=mask))
 
 
 class TestFrameSweep:
-    def registry(self, shift=1.0):
-        return BackendRegistry(
-            GaussianCondition(np.float32(0.0), 1.0), GaussianCondition(np.float32(shift), 1.0)
-        )
-
     def test_single_frame_has_zero_gain_column(self):
-        rows = frame_sweep(sweep_family(), sweep_cfg(), self.registry(), [1])
+        rows = frame_sweep(sweep_spec(), [1])
         assert len(rows) == 5
         assert all(r[4] == 0.0 for r in rows)
         assert all(r[0] == 1 for r in rows)
 
     def test_null_run_reports_unity_iou_on_empty_mask(self):
-        def empty_family(frames):
-            lat, _ = sweep_family()(frames)
-            return lat, EditMask(np.zeros((frames, 4, 4), dtype=np.uint8))
-
-        rows = frame_sweep(empty_family, sweep_cfg(), self.registry(shift=0.0), [2])
+        rows = frame_sweep(sweep_spec(shift=0.0, mask="zeros"), [2])
         assert all(r[2] == 0.0 for r in rows)  # zero signal magnitude
         assert all(r[3] == 1.0 for r in rows)  # empty-vs-empty IoU
 
     def test_deterministic_rows(self):
-        rows1 = frame_sweep(sweep_family(), sweep_cfg(), self.registry(), [2, 3])
-        rows2 = frame_sweep(sweep_family(), sweep_cfg(), self.registry(), [2, 3])
+        rows1 = frame_sweep(sweep_spec(), [2, 3])
+        rows2 = frame_sweep(sweep_spec(), [2, 3])
         assert rows1 == rows2
 
     def test_gain_column_matches_config(self):
-        cfg = sweep_cfg()
-        rows = frame_sweep(sweep_family(), cfg, self.registry(), [7])
-        assert all(r[4] == gamma_f(cfg.amm, 7) for r in rows)
+        spec = sweep_spec()
+        rows = frame_sweep(spec, [7])
+        assert all(r[4] == gamma_f(spec.amm, 7) for r in rows)
 
     def test_csv_rendering(self):
-        rows = frame_sweep(sweep_family(), sweep_cfg(), self.registry(), [1])
+        rows = frame_sweep(sweep_spec(), [1])
         text = sweep_rows_to_csv(rows)
         lines = text.split("\n")
         assert lines[0] == ",".join(SWEEP_CSV_HEADER)

@@ -26,3 +26,18 @@ def test_no_module_imports_a_private_name_of_another():
                 if inside and alias.name.startswith("_")
             ]
     assert found == []
+
+
+def test_no_module_imports_inside_a_function():
+    # an import deferred into a function hides the module's dependencies and import cost
+    package = Path(flowsteer.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(found) == []

@@ -260,10 +260,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: missing artifacts under ") and "shift" in err
 
-    @pytest.mark.parametrize("frames", ["1,x", "", " , "])
+    @pytest.mark.parametrize("frames", ["1,x", "", " , ", "1,²", "0"])
     def test_bad_frames_exit_code(self, tmp_path, capsys, frames):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(SHIFT_EDIT + f"\nout_dir = {tmp_path / 'sw'}\n", encoding="utf-8")
         assert cli_main(["sweep", str(cfg_path), "--frames", frames]) == 2
         assert capsys.readouterr().err.startswith("error: --frames")
         assert not (tmp_path / "sw").exists()
+
+    def test_sweep_of_a_source_without_f_names_the_requested_count(self, tmp_path, capsys):
+        # SHIFT_EDIT synthesizes 3 frames whatever the sweep asks for
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(SHIFT_EDIT + f"\nout_dir = {tmp_path / 'sw'}\n", encoding="utf-8")
+        assert cli_main(["sweep", str(cfg_path), "--frames", "3,5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "requested 5" in err
+        assert not (tmp_path / "sw" / "shift" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("number", ["0", "13", "-1"])
+    def test_selftest_rejects_unknown_criterion(self, capsys, number):
+        assert cli_main(["selftest", f"--criterion={number}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --criterion")
+
+    def test_selftest_runs_one_criterion(self, capsys):
+        assert cli_main(["selftest", "--criterion", "4"]) == 0
+        assert capsys.readouterr().out.startswith("criterion 04 ")
