@@ -52,8 +52,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    rows = frame_sweep(spec, [int(tok) for tok in tokens])
     csv_path = run_dir(spec) / "sweep.csv"
+    rows = frame_sweep(spec, [int(tok) for tok in tokens])
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     print(f"{len(rows)} rows -> {csv_path}")

@@ -27,7 +27,9 @@ import numpy as np
 
 from .amm import AmmConfig
 from .backends import BackendRegistry, GaussianCondition, make_toy_condition_pair
-from .core import EditMask, RngStream, TimeGrid, VideoLatent, load_mask, load_tensor, sample_gaussian
+from .core import (
+    MAX_ELEMENTS, EditMask, RngStream, TimeGrid, VideoLatent, load_mask, load_tensor, sample_gaussian
+)
 from .engine import EditConfig
 from .errors import ConfigError, TensorFormatError
 from .sar import SarConfig, TargetTokenSet
@@ -286,6 +288,8 @@ def resolve_source(spec: RunSpec) -> VideoLatent:
         dims = _as_int_list("io.source", recipe.removeprefix("gaussian:"))
         if len(dims) != 5 or any(d < 1 for d in dims):
             raise ConfigError("io.source", f"recipe needs 5 positive dims, got {recipe!r}")
+        if math.prod(dims) > MAX_ELEMENTS:
+            raise ConfigError("io.source", f"{recipe!r} has more than {MAX_ELEMENTS} elements")
         return VideoLatent(sample_gaussian(RngStream(spec.io.seed).substream(0), dims))
     path = Path(recipe)
     if not path.exists():
@@ -360,7 +364,7 @@ def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
 
 def build_edit_config(spec: RunSpec, mask: EditMask) -> EditConfig:
     return EditConfig(
-        grid=TimeGrid.uniform(spec.steps, spec.skip),
+        grid=TimeGrid(spec.steps, spec.skip),
         sar=spec.sar,
         amm=spec.amm,
         mask=mask,
@@ -393,5 +397,12 @@ def with_frames(spec: RunSpec, frames: int) -> RunSpec:
 
 
 def run_dir(spec: RunSpec) -> Path:
-    """The directory a run writes its artifacts into: ``out_dir/<scenario>``."""
-    return Path(spec.io.out_dir) / spec.io.scenario
+    """The directory a run writes its artifacts into: ``out_dir/<scenario>``.
+
+    The scenario must be one plain path component, so that no run writes
+    outside ``out_dir`` or inside another run's directory.
+    """
+    scenario = spec.io.scenario
+    if Path(scenario).name != scenario or scenario in ("", ".", ".."):
+        raise ConfigError("io.scenario", f"must be a plain name, not a path, got {scenario!r}")
+    return Path(spec.io.out_dir) / scenario

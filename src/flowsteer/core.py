@@ -167,42 +167,25 @@ class EditMask:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly decreasing times t_T > ... > t_0 with an initial-step skip count.
+    """The uniform grid t_i = i / steps, from t = 1 down to t = 0.
 
-    ``values[0]`` is the start time (at most 1), ``values[-1]`` the end time
-    (at least 0). ``steps`` counts intervals; the first ``skip`` of them
-    contribute no state update.
+    ``steps`` counts intervals; the first ``skip`` of them contribute no
+    state update.
     """
 
-    values: tuple[float, ...]
+    steps: int
     skip: int = 0
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 2:
-            raise ValueError("a time grid needs at least two points")
-        if any(b >= a for a, b in zip(vals, vals[1:])):
-            raise ValueError("grid times must be strictly decreasing")
-        if vals[0] > 1.0 + TIME_CLAMP_SLACK or vals[-1] < -TIME_CLAMP_SLACK:
-            raise ValueError(f"grid times must lie in [0, 1], got [{vals[-1]}, {vals[0]}]")
-        if not 0 <= self.skip < len(vals) - 1:
-            raise ValueError(f"skip must satisfy 0 <= skip < steps, got {self.skip}")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def uniform(cls, steps: int, skip: int = 0) -> "TimeGrid":
-        """t_i = i / steps for i = steps .. 0."""
-        if steps < 1:
+        if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        return cls(tuple(i / steps for i in range(steps, -1, -1)), skip=skip)
+        if not 0 <= self.skip < self.steps:
+            raise ValueError(f"skip must satisfy 0 <= skip < steps, got {self.skip}")
 
     @property
-    def steps(self) -> int:
-        return len(self.values) - 1
-
-    @property
-    def t_max(self) -> float:
-        return self.values[0]
+    def values(self) -> tuple[float, ...]:
+        """t_steps = 1, ..., t_0 = 0."""
+        return tuple(i / self.steps for i in range(self.steps, -1, -1))
 
     @property
     def active_steps(self) -> int:
@@ -214,8 +197,8 @@ class TimeGrid:
         step_index counts down from ``steps - skip`` to 1, matching the
         convention that step i moves the state from t_i to t_{i-1}.
         """
-        for k in range(self.skip, self.steps):
-            yield self.steps - k, self.values[k], self.values[k + 1]
+        for i in range(self.active_steps, 0, -1):
+            yield i, i / self.steps, (i - 1) / self.steps
 
 
 def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -2,11 +2,10 @@
 and the per-step diagnostics table.
 
 The binarization reuses the modulation module's per-sample min-max
-normalization, applied to the channel-mean absolute signal, and cuts at a
-threshold. Runs cut at ``DEFAULT_BINARIZE_THRESHOLD`` (0.5), which every
-report echoes so results are self-describing. IoU of two empty sets is
-defined as 1 (perfect agreement of emptiness). Signals are float32
-(B, C, F, H, W) arrays.
+normalization, applied to the channel-mean absolute signal, and cuts at the
+fixed ``DEFAULT_BINARIZE_THRESHOLD`` (0.5), which every report echoes so
+results are self-describing. IoU of two empty sets is defined as 1 (perfect
+agreement of emptiness). Signals are float32 (B, C, F, H, W) arrays.
 
 The editing loop takes a signal's statistics before the step overwrites it,
 from one |dv| that it passes to both statistics with ``absolute=True``.
@@ -28,23 +27,15 @@ DEFAULT_BINARIZE_THRESHOLD = 0.5
 SWEEP_CSV_HEADER = ("F", "step", "mean_abs", "iou", "gamma_f")
 
 
-def binarize_signal(
-    dv: np.ndarray,
-    threshold: float = DEFAULT_BINARIZE_THRESHOLD,
-    eps: float = 1e-7,
-    *,
-    absolute: bool = False,
-) -> np.ndarray:
+def binarize_signal(dv: np.ndarray, *, eps: float = 1e-7, absolute: bool = False) -> np.ndarray:
     """Per-sample bool map (B, F, H, W) of where the signal is strong.
 
     Channel-mean |dv| is min-max normalized per sample and cut strictly
-    above ``threshold``; a constant signal therefore binarizes to all
-    False. With ``absolute`` the caller passes |dv| itself.
+    above ``DEFAULT_BINARIZE_THRESHOLD``; a constant signal therefore
+    binarizes to all False. With ``absolute`` the caller passes |dv| itself.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     normalized = contrast_map(dv if absolute else np.abs(dv), eps)[:, 0]
-    return normalized > threshold
+    return normalized > DEFAULT_BINARIZE_THRESHOLD
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:

@@ -150,7 +150,7 @@ def blend_baseline(
 
 def _sar_hook(cfg: EditConfig, t: float):
     def hook(logits: np.ndarray, layer: int) -> np.ndarray:
-        return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, cfg.grid, layer)
+        return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, layer)
 
     return hook
 

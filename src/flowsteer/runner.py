@@ -205,8 +205,8 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
     """Execute runs (concurrently if workers > 1, else in order on this thread);
     exit status 0 iff all finished.
 
-    Raises ConfigError("io.scenario", ...) before any run starts when two specs
-    resolve to the same run directory.
+    Raises ConfigError("io.scenario", ...) before any run starts when a
+    scenario is not a plain name or two specs resolve to the same run directory.
     """
     seen: dict[Path, str] = {}
     for spec in specs:

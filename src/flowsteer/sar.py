@@ -15,8 +15,8 @@ coupling between selected text tokens and a binary spatial region:
 Each update is a convex interpolation toward an existing extremum, so
 modulated values never leave the original logit range and the softmax
 downstream still yields probabilities. The refinement is gated to the
-early, high-t part of a run: it applies only while t >= tau_fraction *
-t_max and only on configured layers.
+early, high-t part of a run: every grid starts at t = 1, so it applies only
+while t >= tau_fraction, and only on configured layers.
 
 The logits are a plain (L, F*H*W) array whose columns follow the mask's
 flattened voxel order. The passes take a boolean column selector (the
@@ -38,7 +38,7 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
-from .core import EditMask, TimeGrid
+from .core import EditMask
 from .errors import ConfigError, ShapeMismatchError
 
 
@@ -75,7 +75,7 @@ class SarConfig:
     """Strengths and gating for the attention refinement.
 
     ``layer_set`` is None for "all layers" or a frozenset of layer indices.
-    Refinement is active while t >= tau_fraction * t_max.
+    Refinement is active while t >= tau_fraction; every grid starts at t = 1.
     """
 
     beta1: float = 0.3
@@ -159,17 +159,16 @@ def apply_sar(
     j_tar: TargetTokenSet,
     cfg: SarConfig,
     t: float,
-    grid: TimeGrid,
     layer: int = 0,
 ) -> np.ndarray:
     """Gated composition of both modulation passes on pre-softmax logits.
 
-    Outside the active window (t < tau_fraction * t_max) or off the
+    Outside the active window (t < tau_fraction) or off the
     configured layers, and when both passes are no-ops, the input array
     itself is returned. Inside the window the mask becomes the column
     selector and the target tokens the row selector, once for both passes.
     """
-    if t < cfg.tau_fraction * grid.t_max or not cfg.applies_to_layer(layer):
+    if t < cfg.tau_fraction or not cfg.applies_to_layer(layer):
         return logits
     if mask.is_empty() and cfg.beta2 > 0.0:
         warnings.warn(

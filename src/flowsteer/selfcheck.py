@@ -170,7 +170,7 @@ def _null_edit_runs(record_states: bool):
     mask_bits[:, 1:3, 1:3] = 1
     for label, registry, sar_cfg, j_tar in _null_edit_cases():
         cfg = EditConfig(
-            grid=TimeGrid.uniform(25, skip=2),
+            grid=TimeGrid(25, skip=2),
             sar=sar_cfg,
             amm=AmmConfig(gamma=1.0),
             mask=EditMask(mask_bits),
@@ -278,7 +278,7 @@ def check_mean_shift_edit() -> tuple[bool, str]:
         GaussianCondition(np.zeros(2, dtype=np.float32), 1.0), GaussianCondition(delta, 1.0)
     )
     dims = (1, 2, 3, 4, 4)
-    grid = TimeGrid.uniform(500, skip=2)
+    grid = TimeGrid(500, skip=2)
     cfg = EditConfig(
         grid=grid,
         sar=SarConfig(beta1=0.0, beta2=0.0),
@@ -334,7 +334,7 @@ def check_blend_locality() -> tuple[bool, str]:
         w0 = int(rng.uniforms(1)[0] * 3)
         bits[f0 : f0 + 1, h0 : h0 + 2, w0 : w0 + 2] = True
         cfg = EditConfig(
-            grid=TimeGrid.uniform(8, skip=1),
+            grid=TimeGrid(8, skip=1),
             sar=SarConfig(),
             amm=AmmConfig(),
             mask=EditMask(bits),

@@ -20,7 +20,7 @@ from flowsteer.backends import (
     make_toy_condition_pair,
     toy_attention_velocity,
 )
-from flowsteer.core import EditMask, TimeGrid
+from flowsteer.core import EditMask
 from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import SarConfig, TargetTokenSet, apply_sar
 
@@ -328,8 +328,6 @@ def toy_case(batch, tokens, dims=(2, 3, 5, 7), seed=5):
 
 
 class TestRowMajorOracle:
-    GRID = TimeGrid.uniform(10)
-
     # The token-major velocity repeats the row-major one's IEEE operations, so it
     # is bitwise equal wherever numpy runs its products through gemm (C and the
     # query width both at least 2, as here).
@@ -342,7 +340,7 @@ class TestRowMajorOracle:
         calls = []
 
         def hook(logits, layer):
-            out = apply_sar(logits, mask, j_tar, cfg, t, self.GRID, layer)
+            out = apply_sar(logits, mask, j_tar, cfg, t, layer)
             calls.append(out is not logits)
             return out
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowsteer import config
 from flowsteer.backends import GaussianCondition, ToyAttentionCondition
 from flowsteer.config import (
     KNOWN_METRICS,
@@ -21,6 +22,7 @@ from flowsteer.config import (
     parse_config_text,
     resolve_mask,
     resolve_source,
+    run_dir,
     with_frames,
     with_out_dir,
 )
@@ -231,6 +233,35 @@ class TestResolvers:
         cfg = build_edit_config(spec, mask)
         assert cfg.baseline_blend is True and cfg.seed == 9
         assert cfg.grid.steps == 25 and cfg.grid.skip == 2
+
+    def test_oversized_recipe_rejected_before_allocating(self):
+        # 10^15 float32 values: 3.55 PiB, which numpy refuses at once
+        spec = parse_config_text("[io]\nsource = gaussian:1000,1000,1000,1000,1000\n")
+        with pytest.raises(ConfigError) as info:
+            resolve_source(spec)
+        assert info.value.key_path == "io.source"
+
+    def test_recipe_at_the_element_bound_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(config, "MAX_ELEMENTS", 60)
+        at = parse_config_text("[io]\nsource = gaussian:1,1,3,4,5\n")
+        assert resolve_source(at).data.size == 60
+        above = parse_config_text("[io]\nsource = gaussian:1,1,3,4,6\n")
+        with pytest.raises(ConfigError, match="more than 60 elements") as info:
+            resolve_source(above)
+        assert info.value.key_path == "io.source"
+
+
+class TestRunDir:
+    def test_plain_name_joins_out_dir(self):
+        spec = parse_config_text("[io]\nscenario = wan.v2\nout_dir = runs\n")
+        assert run_dir(spec) == Path("runs") / "wan.v2"
+
+    @pytest.mark.parametrize("scenario", ["../x", ".", "..", "a/b", "/abs", ""])
+    def test_scenario_must_be_one_plain_name(self, scenario):
+        spec = RunSpec()
+        with pytest.raises(ConfigError) as info:
+            run_dir(replace(spec, io=replace(spec.io, scenario=scenario)))
+        assert info.value.key_path == "io.scenario"
 
 
 def default_of(section: str, attr: str):

@@ -59,14 +59,15 @@ class TestIou:
 class TestBinarize:
     def test_constant_signal_all_zero(self):
         dv = VideoLatent(np.full((1, 2, 2, 3, 3), 4.0, dtype=np.float32))
-        assert not binarize_signal(dv.data, 0.5).any()
+        assert not binarize_signal(dv.data).any()
 
-    def test_threshold_zero_marks_positive_cells(self):
+    def test_marks_cells_strictly_above_half_the_range(self):
+        # normalized to 0, 0.25, 0.5, 0.75, 1: the cut at 0.5 is strict
         dv = VideoLatent(
-            np.array([0.0, 0.5, 1.0, 0.0], dtype=np.float32).reshape(1, 1, 1, 1, 4)
+            np.array([0.0, 1.0, 2.0, 3.0, 4.0], dtype=np.float32).reshape(1, 1, 1, 1, 5)
         )
-        out = binarize_signal(dv.data, 0.0)
-        assert out.reshape(-1).tolist() == [0, 1, 1, 0]
+        out = binarize_signal(dv.data)
+        assert out.reshape(-1).tolist() == [False, False, False, True, True]
 
     def test_mask_indicator_recovers_mask(self):
         bits = np.zeros((2, 3, 3), dtype=np.uint8)
@@ -75,17 +76,15 @@ class TestBinarize:
         dv = VideoLatent(
             np.broadcast_to(bits.astype(np.float32), (1, 2, 2, 3, 3)).copy()
         )
-        out = binarize_signal(dv.data, 0.5)
+        out = binarize_signal(dv.data)
         assert np.array_equal(out[0], bits)
         assert iou(out[0], bits) == 1.0
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**31), lo=st.floats(0.0, 0.5), hi=st.floats(0.5, 1.0))
-    def test_threshold_monotone(self, seed, lo, hi):
-        dv = random_latent(RngStream(seed), (1, 2, 2, 3, 3))
-        low = binarize_signal(dv.data, lo)
-        high = binarize_signal(dv.data, hi)
-        assert (high <= low).all()
+    def test_threshold_is_not_a_parameter(self):
+        # a stale positional threshold must not land in eps
+        dv = np.ones((1, 1, 1, 1, 2), dtype=np.float32)
+        with pytest.raises(TypeError):
+            binarize_signal(dv, 0.5)
 
 
 class TestMagnitudeStats:

@@ -61,7 +61,7 @@ def make_cfg(
     **kw,
 ):
     return EditConfig(
-        grid=grid or TimeGrid.uniform(25, skip=2),
+        grid=grid or TimeGrid(25, skip=2),
         sar=sar or SarConfig(),
         amm=amm or AmmConfig(),
         mask=mask or full_mask(),
@@ -206,7 +206,7 @@ class TestRunEdit:
         delta = 0.5
         reg = gaussian_registry(0.0, delta)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(1),
+            grid=TimeGrid(1),
             sar=SarConfig(beta1=0.0, beta2=0.0),
             amm=AmmConfig(gamma=0.0),
         )
@@ -229,8 +229,8 @@ class TestRunEdit:
         x = make_latent()
         from dataclasses import replace
 
-        cfg2 = make_cfg(grid=TimeGrid.uniform(10, skip=2), record_states=True)
-        cfg3 = replace(cfg2, grid=TimeGrid.uniform(10, skip=3))
+        cfg2 = make_cfg(grid=TimeGrid(10, skip=2), record_states=True)
+        cfg3 = replace(cfg2, grid=TimeGrid(10, skip=3))
         _, rep2 = run_edit(x, cfg2, reg)
         _, rep3 = run_edit(x, cfg3, reg)
         common = {r.index: r for r in rep2.steps}
@@ -241,7 +241,7 @@ class TestRunEdit:
         reg = gaussian_registry(0.0, 0.5)
         x = make_latent()
         for skip in (0, 2, 5):
-            cfg = make_cfg(grid=TimeGrid.uniform(10, skip=skip))
+            cfg = make_cfg(grid=TimeGrid(10, skip=skip))
             _, report = run_edit(x, cfg, reg)
             assert len(report.steps) == 10 - skip
             assert report.steps[0].index == 10 - skip
@@ -265,7 +265,7 @@ class TestRunEdit:
         delta = 0.8
         reg = gaussian_registry(0.0, delta)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(200, skip=2),
+            grid=TimeGrid(200, skip=2),
             sar=SarConfig(beta1=0.0, beta2=0.0),
             amm=AmmConfig(gamma=0.0),
         )
@@ -286,7 +286,7 @@ class TestRunEdit:
     def test_nonfinite_abort_names_step(self, make_latent):
         reg = gaussian_registry(3.0e38, -3.0e38, channels=2)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(3),
+            grid=TimeGrid(3),
             sar=SarConfig(beta1=0.0, beta2=0.0),
             amm=AmmConfig(gamma=0.0),
         )
@@ -298,7 +298,7 @@ class TestRunEdit:
         # same run as above: the first active step already overflows
         reg = gaussian_registry(3.0e38, -3.0e38, channels=2)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(3),
+            grid=TimeGrid(3),
             sar=SarConfig(beta1=0.0, beta2=0.0),
             amm=AmmConfig(gamma=0.0),
         )
@@ -311,7 +311,7 @@ class TestRunEdit:
         # finite reference path, so only a check before it sees the overflow
         reg = gaussian_registry(3.0e38, -3.0e38, channels=2)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(6, skip=2),
+            grid=TimeGrid(6, skip=2),
             mask=EditMask(np.zeros(DIMS[2:], dtype=np.uint8)),
             baseline_blend=True,
         )
@@ -328,7 +328,7 @@ class TestRunEdit:
         reg = BackendRegistry(src, tar)
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
         bits[:, :2, :] = 1
-        cfg = make_cfg(grid=TimeGrid.uniform(6, skip=2), mask=EditMask(bits), j_tar=j_tar, seed=4)
+        cfg = make_cfg(grid=TimeGrid(6, skip=2), mask=EditMask(bits), j_tar=j_tar, seed=4)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError) as err:
             run_edit(const_latent(3.0e38), cfg, reg)
         assert err.value.step_index == step
@@ -391,7 +391,7 @@ class TestDrawAhead:
         bits = np.zeros(DIMS[2:], dtype=np.uint8)
         bits[:, 1:3, :] = 1
         return make_cfg(
-            grid=TimeGrid.uniform(8, skip=3),
+            grid=TimeGrid(8, skip=3),
             mask=EditMask(bits),
             seed=21,
             n_avg=2,
@@ -460,7 +460,7 @@ class TestDrawAhead:
         bits = np.zeros(dims[2:], dtype=np.uint8)
         bits[:, 8:40, 16:48] = 1
         cfg = make_cfg(
-            grid=TimeGrid.uniform(8, skip=4),
+            grid=TimeGrid(8, skip=4),
             mask=EditMask(bits),
             j_tar=j_tar,
             seed=21,
@@ -522,7 +522,7 @@ class TestDrawAhead:
 
         good = gaussian_registry(0.0, 1.0)
         bad = PoisonedAt(good.source, good.target)
-        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=4), seed=8)
+        cfg = make_cfg(grid=TimeGrid(10, skip=4), seed=8)
         x = make_latent()
         before, _ = run_edit(x, cfg, good)
         step3 = RngStream(cfg.seed).substream(3).seed
@@ -554,7 +554,7 @@ def reference_run(x_src, cfg, backend):
         noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
 
         def hook(logits, layer, t=t):
-            return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, cfg.grid, layer)
+            return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, layer)
 
         acc = np.zeros(x.shape, dtype=np.float32)
         for draw in range(cfg.n_avg):
@@ -623,7 +623,7 @@ class TestOnePath:
         bits[:, 1:3, :] = 1
         j_tar = TargetTokenSet.of(1)
         cfg = make_cfg(
-            grid=TimeGrid.uniform(8, skip=2),
+            grid=TimeGrid(8, skip=2),
             mask=EditMask(bits),
             j_tar=j_tar,
             seed=21,
@@ -670,7 +670,7 @@ class TestOnePath:
 
         good = gaussian_registry()
         reg = SignedZeros(good.source, good.target)
-        cfg = make_cfg(grid=TimeGrid.uniform(4, skip=1))
+        cfg = make_cfg(grid=TimeGrid(4, skip=1))
         x = const_latent(-0.0)
         noise = sample_gaussian(RngStream(2), DIMS)
         dv = editing_signal(x.data, x.data, 0.5, cfg, reg, [noise], _Workspace(DIMS))[0]
@@ -691,7 +691,7 @@ class TestWorkingSet:
         x = random_latent(RngStream(3), dims)
         assert (x.data.size + 1) // 2 > core._CHUNK_PAIRS
         reg = gaussian_registry(0.0, 1.0, channels=16)
-        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=6), mask=full_mask(dims), seed=5)
+        cfg = make_cfg(grid=TimeGrid(10, skip=6), mask=full_mask(dims), seed=5)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -720,7 +720,7 @@ class TestWorkingSet:
         bits = np.zeros(dims[2:], dtype=np.uint8)
         bits[:, 8:24, :] = 1
         extra, bound = self.BOUNDS[case]
-        cfg = make_cfg(grid=TimeGrid.uniform(10, skip=6), mask=EditMask(bits), seed=5, **extra)
+        cfg = make_cfg(grid=TimeGrid(10, skip=6), mask=EditMask(bits), seed=5, **extra)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -792,12 +792,12 @@ class TestTraceSeam:
         mask = EditMask(bits)
         gauss = gaussian_registry(0.0, 1.0)
         gauss_cfg = make_cfg(
-            grid=TimeGrid.uniform(6, skip=2), mask=mask, seed=3, n_avg=2, baseline_blend=True
+            grid=TimeGrid(6, skip=2), mask=mask, seed=3, n_avg=2, baseline_blend=True
         )
         j_tar = TargetTokenSet.of(1)
         src, tar = make_toy_condition_pair(5, tokens=4, query_dim=3, channels=2, j_tar=j_tar)
         toy = BackendRegistry(src, tar)
-        toy_cfg = make_cfg(grid=TimeGrid.uniform(10, skip=2), mask=mask, j_tar=j_tar, seed=4)
+        toy_cfg = make_cfg(grid=TimeGrid(10, skip=2), mask=mask, j_tar=j_tar, seed=4)
 
         owners = (
             flowsteer.engine,

@@ -277,6 +277,29 @@ class TestCli:
         assert err.startswith("error: ") and "requested 5" in err
         assert not (tmp_path / "sw" / "shift" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("scenario", ["../escaped", ".", "a/b", "ABS"])
+    @pytest.mark.parametrize("command", [["edit"], ["sweep", "--frames", "3"]], ids=lambda a: a[0])
+    def test_scenario_outside_its_run_directory_writes_nothing(
+        self, tmp_path, capsys, scenario, command
+    ):
+        scenario = str(tmp_path / "abs") if scenario == "ABS" else scenario
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg_path = tmp_path / "run.cfg"
+        text = SHIFT_EDIT.replace("scenario = shift", f"scenario = {scenario}")
+        cfg_path.write_text(text + f"\nout_dir = {work / 'out'}\n", encoding="utf-8")
+        assert cli_main([command[0], str(cfg_path), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: io.scenario")
+        assert list(work.iterdir()) == [] and not (tmp_path / "abs").exists()
+
+    def test_oversized_source_recipe_fails_the_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.cfg"
+        text = SHIFT_EDIT.replace("gaussian:1,2,3,4,4", "gaussian:1000,1000,1000,1000,1000")
+        cfg_path.write_text(text + f"\nout_dir = {tmp_path / 'o'}\n", encoding="utf-8")
+        assert cli_main(["edit", str(cfg_path)]) == 1
+        doc = json.loads((tmp_path / "o" / "shift" / "report.json").read_text())
+        assert doc["status"] == "error" and "io.source" in doc["error"]
+
     @pytest.mark.parametrize("number", ["0", "13", "-1"])
     def test_selftest_rejects_unknown_criterion(self, capsys, number):
         assert cli_main(["selftest", f"--criterion={number}"]) == 2

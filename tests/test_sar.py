@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsteer import EditMask, RngStream, TimeGrid
+from flowsteer import EditMask, RngStream
 from flowsteer import sar
 from flowsteer.errors import ShapeMismatchError
 from flowsteer.sar import (
@@ -226,26 +226,37 @@ def scalar_reference_sar(logits, mask_bits, targets, beta1, beta2):
 
 
 class TestApplySar:
-    GRID = TimeGrid.uniform(10)
-
     def test_gated_out_below_tau(self):
         logits, mask, j_tar = random_case(RngStream(6), 6, 3)
         cfg = SarConfig(beta1=0.5, beta2=0.5, tau_fraction=0.6)
-        out = apply_sar(logits, mask, j_tar, cfg, t=0.5, grid=self.GRID)
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.5)
         assert out is logits
+
+    def test_refines_at_exactly_tau(self):
+        # every grid starts at t = 1, so the window opens at t == tau_fraction itself
+        logits, mask, j_tar = random_case(RngStream(6), 6, 3)
+        cfg = SarConfig(beta1=0.5, beta2=0.5, tau_fraction=0.6)
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.6)
+        ref = scalar_reference_sar(logits, mask.flat().astype(int), j_tar.indices, 0.5, 0.5)
+        assert out is not logits and np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+    def test_gated_out_just_below_tau(self):
+        logits, mask, j_tar = random_case(RngStream(6), 6, 3)
+        cfg = SarConfig(beta1=0.5, beta2=0.5, tau_fraction=0.6)
+        assert apply_sar(logits, mask, j_tar, cfg, t=np.nextafter(0.6, 0)) is logits
 
     def test_zero_strengths_identity_inside_window(self):
         logits, mask, j_tar = random_case(RngStream(7), 6, 3)
         cfg = SarConfig(beta1=0.0, beta2=0.0)
-        out = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID)
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.9)
         assert out is logits
 
     def test_layer_gating(self):
         logits, mask, j_tar = random_case(RngStream(8), 6, 3)
         cfg = SarConfig(layer_set=frozenset({2}))
-        out = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=0)
+        out = apply_sar(logits, mask, j_tar, cfg, t=0.9, layer=0)
         assert out is logits
-        out2 = apply_sar(logits, mask, j_tar, cfg, t=0.9, grid=self.GRID, layer=2)
+        out2 = apply_sar(logits, mask, j_tar, cfg, t=0.9, layer=2)
         assert not np.array_equal(out2, logits)
 
     def test_matches_scalar_reference(self):
@@ -253,7 +264,7 @@ class TestApplySar:
         mask = mask_from([1, 0])
         j_tar = TargetTokenSet.of(0)
         cfg = SarConfig(beta1=0.3, beta2=0.3, tau_fraction=0.6)
-        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=self.GRID)
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0)
         ref = scalar_reference_sar(logits, [1, 0], {0}, 0.3, 0.3)
         assert np.allclose(out, ref, atol=1e-15)
 
@@ -265,7 +276,7 @@ class TestApplySar:
     def test_random_cases_match_scalar_reference(self, seed, b1, b2):
         logits, mask, j_tar = random_case(RngStream(seed), 7, 4)
         cfg = SarConfig(beta1=b1, beta2=b2)
-        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=self.GRID)
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0)
         ref = scalar_reference_sar(logits, mask.flat().astype(int), j_tar.indices, b1, b2)
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
@@ -274,7 +285,7 @@ class TestApplySar:
         empty = mask_from([0] * 6)
         cfg = SarConfig(beta1=0.3, beta2=0.3)
         with pytest.warns(UserWarning, match="all-zero mask"):
-            out = apply_sar(logits, empty, j_tar, cfg, t=1.0, grid=self.GRID)
+            out = apply_sar(logits, empty, j_tar, cfg, t=1.0)
         # step 2 still pulls target columns toward their minima
         j = sorted(j_tar.indices)[0]
         assert not np.array_equal(out[j], logits[j])
@@ -283,7 +294,7 @@ class TestApplySar:
         logits, _, j_tar = random_case(RngStream(10), 6, 3)
         mask = mask_from([1, 0] * 4, dims=(2, 2, 2))
         with pytest.raises(ShapeMismatchError, match="mask has 8 voxels but .* has 6 columns"):
-            apply_sar(logits, mask, j_tar, SarConfig(), t=1.0, grid=self.GRID)
+            apply_sar(logits, mask, j_tar, SarConfig(), t=1.0)
 
 
 class TestInvariants:
@@ -323,7 +334,7 @@ class TestInvariants:
     def test_locality(self):
         logits, mask, j_tar = random_case(RngStream(12), 10, 5)
         cfg = SarConfig(beta1=0.8, beta2=0.8)
-        out = apply_sar(logits, mask, j_tar, cfg, t=1.0, grid=TimeGrid.uniform(4))
+        out = apply_sar(logits, mask, j_tar, cfg, t=1.0)
         cols = mask.flat()
         non_target = ~j_tar.token_selector(5)
         untouched = out[np.ix_(non_target, ~cols)]
@@ -342,10 +353,7 @@ class TestInvariants:
         from flowsteer.backends import _softmax_tokens
 
         logits, mask, j_tar = random_case(RngStream(13), 12, 6)
-        out = apply_sar(
-            logits, mask, j_tar, SarConfig(beta1=0.9, beta2=0.9), t=1.0,
-            grid=TimeGrid.uniform(4),
-        )
+        out = apply_sar(logits, mask, j_tar, SarConfig(beta1=0.9, beta2=0.9), t=1.0)
         probs = _softmax_tokens(out, np.empty_like(out), np.empty(12), np.empty((8, 12)))
         assert (probs >= 0).all()
         assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-6)

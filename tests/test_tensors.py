@@ -686,24 +686,36 @@ class TestMask:
 
 class TestTimeGrid:
     def test_uniform_grid(self):
-        g = TimeGrid.uniform(4)
+        g = TimeGrid(4)
         assert g.values == (1.0, 0.75, 0.5, 0.25, 0.0)
-        assert g.steps == 4 and g.t_max == 1.0
-
-    def test_rejects_non_decreasing(self):
-        with pytest.raises(ValueError):
-            TimeGrid((0.5, 0.5, 0.0))
-
-    def test_rejects_skip_too_large(self):
-        with pytest.raises(ValueError):
-            TimeGrid.uniform(3, skip=3)
+        assert list(g.intervals()) == [(4, 1.0, 0.75), (3, 0.75, 0.5), (2, 0.5, 0.25), (1, 0.25, 0.0)]
+        assert g.steps == 4 and g.skip == 0 and g.active_steps == 4
 
     def test_intervals_skip_semantics(self):
-        g = TimeGrid.uniform(5, skip=2)
-        steps = list(g.intervals())
-        assert steps[0] == (3, 0.6, 0.4)
-        assert steps[-1] == (1, 0.2, 0.0)
+        g = TimeGrid(5, skip=2)
+        assert g.values == (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)
+        assert list(g.intervals()) == [(3, 0.6, 0.4), (2, 0.4, 0.2), (1, 0.2, 0.0)]
         assert g.active_steps == 3
+
+    def test_times_are_the_uniform_formula(self):
+        # t and dt of every step are the floats i / steps, whatever the skip
+        for steps in (1, 3, 7, 25, 500):
+            g = TimeGrid(steps, skip=steps // 2)
+            assert g.values == tuple(i / steps for i in range(steps, -1, -1))
+            for i, t, t_next in g.intervals():
+                assert (t, t_next) == (g.values[steps - i], g.values[steps - i + 1])
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            TimeGrid(0)
+
+    def test_rejects_skip_too_large(self):
+        with pytest.raises(ValueError, match="0 <= skip < steps, got 3"):
+            TimeGrid(3, skip=3)
+
+    def test_rejects_negative_skip(self):
+        with pytest.raises(ValueError, match="0 <= skip < steps, got -1"):
+            TimeGrid(3, skip=-1)
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
