@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import parse_config, resolve_mask, run_dir, with_out_dir, with_seed
+from .config import parse_config, resolve_flow, resolve_mask, run_dir, with_out_dir, with_seed
 from .core import load_tensor
 from .diagnostics import sweep_rows_to_csv
 from .errors import FlowSteerError
@@ -74,7 +74,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     source = load_tensor(source_path)
     result = load_tensor(edited_path)
     mask = resolve_mask(spec, source)
-    values = evaluate_metrics(spec, source, result, mask)
+    values = evaluate_metrics(spec, source, result, mask, resolve_flow(spec, source))
     print(json.dumps(values, indent=2))
     return 0
 

@@ -28,10 +28,12 @@ import numpy as np
 from .amm import AmmConfig
 from .backends import BackendRegistry, GaussianCondition, make_toy_condition_pair
 from .core import (
-    MAX_ELEMENTS, EditMask, RngStream, TimeGrid, VideoLatent, load_mask, load_tensor, sample_gaussian
+    MAX_ELEMENTS, EditMask, RngStream, TimeGrid, VideoLatent, load_mask, load_tensor, read_fatn,
+    sample_gaussian,
 )
 from .engine import EditConfig
-from .errors import ConfigError, TensorFormatError
+from .errors import ConfigError
+from .metrics import FlowField
 from .sar import SarConfig, TargetTokenSet
 
 SECTIONS = ("backend", "grid", "sar", "amm", "io", "metrics")
@@ -281,6 +283,14 @@ def emit_config(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read_problem(exc: Exception) -> str:
+    """What went wrong reading an input file: an OS error's reason and path,
+    or a format error's message, which names the path."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"cannot read {exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 def resolve_source(spec: RunSpec) -> VideoLatent:
     """Load or synthesize the source latent; substream 0 feeds synthesis."""
     recipe = spec.io.source
@@ -291,10 +301,10 @@ def resolve_source(spec: RunSpec) -> VideoLatent:
         if math.prod(dims) > MAX_ELEMENTS:
             raise ConfigError("io.source", f"{recipe!r} has more than {MAX_ELEMENTS} elements")
         return VideoLatent(sample_gaussian(RngStream(spec.io.seed).substream(0), dims))
-    path = Path(recipe)
-    if not path.exists():
-        raise ConfigError("io.source", f"file not found: {recipe}")
-    return load_tensor(path)
+    try:
+        return load_tensor(recipe)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("io.source", _read_problem(exc)) from None
 
 
 def resolve_mask(spec: RunSpec, latent: VideoLatent) -> EditMask:
@@ -321,16 +331,30 @@ def resolve_mask(spec: RunSpec, latent: VideoLatent) -> EditMask:
             slices.append(slice(lo, hi))
         bits[tuple(slices)] = True
         return EditMask(bits)
-    paths = [Path(tok.strip()) for tok in recipe.split(",") if tok.strip()]
-    for p in paths:
-        if not p.exists():
-            raise ConfigError("io.mask", f"file not found: {p}")
+    paths = [tok.strip() for tok in recipe.split(",") if tok.strip()]
     try:
-        if len(paths) == 1:
-            return load_mask(paths[0], grid_shape)
-        return load_mask(paths, grid_shape)
-    except TensorFormatError as exc:
-        raise ConfigError("io.mask", str(exc)) from exc
+        return load_mask(paths[0] if len(paths) == 1 else paths, grid_shape)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("io.mask", _read_problem(exc)) from None
+
+
+def resolve_flow(spec: RunSpec, latent: VideoLatent) -> Optional[FlowField]:
+    """The flow field ``warp_error`` scores against, of shape (F-1, 2, H, W) of
+    ``latent``; None when ``warp_error`` is off or ``metrics.flow`` is unset."""
+    if not spec.metrics.flow or "warp_error" not in spec.metrics.enable:
+        return None
+    try:
+        flow = FlowField(read_fatn(spec.metrics.flow))
+    except (OSError, ValueError) as exc:
+        raise ConfigError("metrics.flow", _read_problem(exc)) from None
+    _, _, frames, height, width = latent.dims
+    expected = (frames - 1, 2, height, width)
+    if flow.data.shape != expected:
+        raise ConfigError(
+            "metrics.flow",
+            f"shape {flow.data.shape} does not match (F-1, 2, H, W) = {expected} of the source",
+        )
+    return flow
 
 
 def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:

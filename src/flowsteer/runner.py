@@ -8,8 +8,11 @@ Each run gets its own directory ``out_dir/<scenario>/`` holding:
   stats, result summary, metric values; fixed key order and shortest
   round-trip float rendering, so identical runs emit identical bytes
 * ``diagnostics.csv`` - per-step rows ``F,step,mean_abs,iou,gamma_f``
-* ``contrast_step_NNN.pgm`` - optional contrast maps (frames stacked
-  vertically, sample 0), linearly quantized from [0, 1] to 8 bits
+* ``contrast.pgm``    - optional (``io.save_contrast_maps``): every step's
+  contrast map in one 8-bit image, linearly quantized from [0, 1]. A step's
+  plane is sample 0's frames stacked vertically, (F*H, W); the planes are
+  stacked in step order, so band k (rows k*F*H up to (k+1)*F*H) belongs to
+  the k-th row of ``diagnostics.csv``
 
 Runs are independent and may execute on a thread pool of the requested
 number of workers; all writes stay inside per-run directories.
@@ -30,12 +33,13 @@ from .config import (
     build_backend,
     build_edit_config,
     config_echo,
+    resolve_flow,
     resolve_mask,
     resolve_source,
     run_dir,
     with_frames,
 )
-from .core import EditMask, VideoLatent, read_fatn, save_tensor, write_pgm
+from .core import EditMask, VideoLatent, save_tensor, write_pgm
 from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, report_rows, sweep_rows_to_csv
 from .engine import EditReport, run_edit
 from .errors import ConfigError, FlowSteerError, ShapeMismatchError
@@ -69,8 +73,10 @@ def evaluate_metrics(
     source: VideoLatent,
     result: VideoLatent,
     mask: EditMask,
+    flow: Optional[FlowField],
 ) -> dict:
-    """Selected metrics on the channel-mean videos of result vs. source."""
+    """Selected metrics on the channel-mean videos of result vs. source;
+    ``flow`` is ``resolve_flow``'s field for ``warp_error``."""
     values: dict = {}
     src_video = channel_mean_video(source)
     out_video = channel_mean_video(result)
@@ -92,10 +98,9 @@ def evaluate_metrics(
             else:
                 values[name] = local_structure_similarity(src_video, out_video, mask, embedder)
         elif name == "warp_error":
-            if not spec.metrics.flow:
+            if flow is None:
                 values[name] = {"error": "no flow file configured"}
             else:
-                flow = FlowField(read_fatn(spec.metrics.flow))
                 detail = warp_error_detail(out_video, flow)
                 values[name] = {
                     "value": detail.value,
@@ -164,31 +169,32 @@ def emit_report(
     metric_values: Optional[dict],
     error: Optional[str] = None,
 ) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Write report.json, diagnostics.csv and, when asked for and recorded,
+    contrast.pgm into the existing ``run_dir``."""
     (run_dir / "report.json").write_text(
         report_to_json(spec, report, result, metric_values, error), encoding="utf-8"
     )
     rows = report_rows(report) if report is not None else []
     (run_dir / "diagnostics.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
     if report is not None and spec.io.save_contrast_maps:
-        for rec in report.steps:
-            if rec.contrast is None:
-                continue
-            stacked = rec.contrast[0, 0].reshape(-1, rec.contrast.shape[-1])
-            write_pgm(run_dir / f"contrast_step_{rec.index:03d}.pgm", quantize_contrast(stacked))
+        planes = [rec.contrast[0, 0] for rec in report.steps if rec.contrast is not None]
+        if planes:
+            stacked = np.concatenate(planes).reshape(-1, planes[0].shape[-1])
+            write_pgm(run_dir / "contrast.pgm", quantize_contrast(stacked))
 
 
 def execute_run(spec: RunSpec) -> RunOutcome:
     out = run_dir(spec)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         source = resolve_source(spec)
         mask = resolve_mask(spec, source)
+        flow = resolve_flow(spec, source)
         backend = build_backend(spec, source)
         cfg = build_edit_config(spec, mask)
-        out.mkdir(parents=True, exist_ok=True)
         save_tensor(source, out / "source.fatn")
         result, report = run_edit(source, cfg, backend)
-        metric_values = evaluate_metrics(spec, source, result, mask)
+        metric_values = evaluate_metrics(spec, source, result, mask, flow)
         save_tensor(result, out / "result.fatn")
         emit_report(spec, out, report, result, metric_values)
         return RunOutcome(spec.io.scenario, out, ok=True)

@@ -418,16 +418,18 @@ def check_artifact_determinism() -> tuple[bool, str]:
         status, (first,) = run_batch([spec])
         if status != 0:
             return False, f"first run failed: {first.error}"
-        names = ["result.fatn", "report.json", "diagnostics.csv", "source.fatn"]
-        names += [p.name for p in sorted(first.out_dir.glob("contrast_step_*.pgm"))]
+        names = sorted(p.name for p in first.out_dir.iterdir())
         snapshot = {name: (first.out_dir / name).read_bytes() for name in names}
         status, (second,) = run_batch([spec])
         if status != 0:
             return False, f"second run failed: {second.error}"
+        listing = sorted(p.name for p in second.out_dir.iterdir())
+        if listing != names:
+            return False, f"run directory listing changed: {names} -> {listing}"
         for name in names:
             if (second.out_dir / name).read_bytes() != snapshot[name]:
                 return False, f"{name} changed between invocations"
-    return True, f"{len(names)} artifacts byte-stable"
+    return True, f"{len(names)} artifacts byte-stable: {', '.join(names)}"
 
 
 CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [

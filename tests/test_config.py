@@ -20,12 +20,14 @@ from flowsteer.config import (
     emit_config,
     parse_config,
     parse_config_text,
+    resolve_flow,
     resolve_mask,
     resolve_source,
     run_dir,
     with_frames,
     with_out_dir,
 )
+from flowsteer.core import write_fatn, write_pgm
 from flowsteer.errors import ConfigError
 
 SCHEMA_KEYS = [f"{section}.{key}" for section, key, *_ in SCHEMA]
@@ -161,6 +163,36 @@ class TestResolvers:
         with pytest.raises(ConfigError, match="io.source"):
             resolve_source(spec)
 
+    @pytest.mark.parametrize("kind", ["directory", "empty", "not-a-latent"])
+    def test_unreadable_source_file_names_its_key(self, tmp_path, kind):
+        # a directory raised IsADirectoryError and an empty file a bare
+        # "truncated header", neither naming io.source
+        path = tmp_path if kind == "directory" else tmp_path / f"{kind}.fatn"
+        if kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "not-a-latent":
+            write_fatn(path, np.zeros((2, 4, 4), np.float32))
+        spec = parse_config_text(f"[io]\nsource = {path}\n")
+        with pytest.raises(ConfigError) as info:
+            resolve_source(spec)
+        assert info.value.key_path == "io.source" and str(path) in str(info.value)
+
+    @pytest.mark.parametrize("kind", ["directory", "empty", "unequal-frames"])
+    def test_unreadable_mask_file_names_its_key(self, tmp_path, kind):
+        small, large = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_pgm(small, np.zeros((4, 4), np.uint8))
+        write_pgm(large, np.zeros((8, 8), np.uint8))
+        (tmp_path / "empty.fatn").write_bytes(b"")
+        recipe = {
+            "directory": str(tmp_path),
+            "empty": str(tmp_path / "empty.fatn"),
+            "unequal-frames": f"{small},{large}",
+        }[kind]
+        spec = parse_config_text(f"[io]\nsource = gaussian:1,1,2,4,4\nmask = {recipe}\n")
+        with pytest.raises(ConfigError) as info:
+            resolve_mask(spec, resolve_source(spec))
+        assert info.value.key_path == "io.mask"
+
     def test_mask_recipes(self):
         spec = parse_config_text("[io]\nsource = gaussian:1,1,2,4,4\n")
         latent = resolve_source(spec)
@@ -249,6 +281,45 @@ class TestResolvers:
         with pytest.raises(ConfigError, match="more than 60 elements") as info:
             resolve_source(above)
         assert info.value.key_path == "io.source"
+
+
+class TestResolveFlow:
+    SOURCE = "[io]\nsource = gaussian:1,1,3,4,5\n[metrics]\nenable = warp_error\n"
+
+    def spec(self, flow: Path | str) -> RunSpec:
+        return parse_config_text(self.SOURCE + f"flow = {flow}\n")
+
+    def test_matching_flow_is_loaded(self, tmp_path):
+        flow = np.full((2, 2, 4, 5), 0.25, np.float32)
+        write_fatn(tmp_path / "flow.fatn", flow)
+        spec = self.spec(tmp_path / "flow.fatn")
+        assert np.array_equal(resolve_flow(spec, resolve_source(spec)).data, flow)
+
+    def test_no_flow_without_a_file_or_warp_error(self, tmp_path):
+        spec = parse_config_text(self.SOURCE)
+        assert resolve_flow(spec, resolve_source(spec)) is None
+        unused = parse_config_text(f"[metrics]\nflow = {tmp_path / 'missing.fatn'}\n")
+        assert resolve_flow(unused, resolve_source(unused)) is None
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "empty", "non-finite"])
+    def test_unreadable_flow_names_its_key(self, tmp_path, kind):
+        path = tmp_path if kind == "directory" else tmp_path / f"{kind}.fatn"
+        if kind == "empty":
+            path.write_bytes(b"")
+        elif kind == "non-finite":
+            write_fatn(path, np.full((2, 2, 4, 5), np.nan, np.float32))
+        spec = self.spec(path)
+        with pytest.raises(ConfigError) as info:
+            resolve_flow(spec, resolve_source(spec))
+        assert info.value.key_path == "metrics.flow"
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 5), (2, 2, 5, 4), (2, 2, 4, 5, 1), (2, 3, 4, 5)])
+    def test_flow_not_matching_the_source_names_its_key(self, tmp_path, shape):
+        write_fatn(tmp_path / "flow.fatn", np.zeros(shape, np.float32))
+        spec = self.spec(tmp_path / "flow.fatn")
+        with pytest.raises(ConfigError) as info:
+            resolve_flow(spec, resolve_source(spec))
+        assert info.value.key_path == "metrics.flow"
 
 
 class TestRunDir:

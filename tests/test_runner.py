@@ -7,8 +7,17 @@ import pytest
 
 from flowsteer import core, runner
 from flowsteer.cli import main as cli_main
-from flowsteer.config import parse_config_text, with_out_dir, with_seed
-from flowsteer.core import read_fatn
+from flowsteer.config import (
+    build_backend,
+    build_edit_config,
+    parse_config_text,
+    resolve_mask,
+    resolve_source,
+    with_out_dir,
+    with_seed,
+)
+from flowsteer.core import read_fatn, read_pgm, write_fatn
+from flowsteer.engine import run_edit
 from flowsteer.errors import ConfigError
 from flowsteer.runner import execute_run, quantize_contrast, run_batch
 
@@ -53,14 +62,16 @@ def spec_in(text, tmp_path, name="out"):
 
 class TestRunBatch:
     def test_same_seed_byte_identical_results(self, tmp_path):
-        # the same spec run twice emits identical bytes for every artifact
+        # the same spec run twice writes the same files, with identical bytes
         spec = spec_in(SHIFT_EDIT, tmp_path)
         status, (first,) = run_batch([spec])
         assert status == 0
-        files = ["result.fatn", "report.json", "diagnostics.csv", "source.fatn"]
+        files = sorted(p.name for p in first.out_dir.iterdir())
+        assert "contrast.pgm" in files
         snapshot = {name: (first.out_dir / name).read_bytes() for name in files}
         status, (second,) = run_batch([spec])
         assert status == 0
+        assert sorted(p.name for p in second.out_dir.iterdir()) == files
         for name in files:
             assert (second.out_dir / name).read_bytes() == snapshot[name]
 
@@ -125,6 +136,45 @@ class TestRunBatch:
         assert doc["status"] == "error" and "io.source" in doc["error"]
         assert doc["steps"] == []
 
+    @pytest.mark.parametrize("flow", ["missing", "wrong-shape"])
+    def test_bad_flow_fails_the_run_before_the_edit(self, tmp_path, monkeypatch, flow):
+        # a missing flow used to surface as a bare FileNotFoundError after the edit
+        path = tmp_path / "flow.fatn"
+        if flow == "wrong-shape":
+            write_fatn(path, np.zeros((3, 2, 4, 4), np.float32))  # F-1 = 2 frame pairs
+        edits = []
+        monkeypatch.setattr(runner, "run_edit", lambda *args: edits.append(args))
+        text = SHIFT_EDIT + f"\n[metrics]\nenable = warp_error\nflow = {path}\n"
+        outcome = execute_run(spec_in(text, tmp_path))
+        assert not outcome.ok and "metrics.flow" in outcome.error
+        assert edits == []
+        doc = json.loads((outcome.out_dir / "report.json").read_text())
+        assert doc["status"] == "error" and doc["error"].startswith("ConfigError: metrics.flow")
+        assert not (outcome.out_dir / "result.fatn").exists()
+
+    def test_warp_error_without_a_flow_reports_why(self, tmp_path):
+        outcome = execute_run(spec_in(SHIFT_EDIT + "\n[metrics]\nenable = warp_error\n", tmp_path))
+        assert outcome.ok
+        doc = json.loads((outcome.out_dir / "report.json").read_text())
+        assert doc["metrics"] == {"warp_error": {"error": "no flow file configured"}}
+
+    def test_warp_error_with_a_matching_flow(self, tmp_path, capsys):
+        path = tmp_path / "flow.fatn"
+        write_fatn(path, np.zeros((2, 2, 4, 4), np.float32))
+        text = SHIFT_EDIT + f"out_dir = {tmp_path / 'cli'}\n"
+        text += f"[metrics]\nenable = warp_error\nflow = {path}\n"
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text, encoding="utf-8")
+        assert cli_main(["edit", str(cfg_path)]) == 0
+        doc = json.loads((tmp_path / "cli" / "shift" / "report.json").read_text())
+        capsys.readouterr()
+        assert cli_main(["metrics", str(cfg_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == doc["metrics"]
+        assert doc["metrics"]["warp_error"]["compared_cells"] == 2 * 4 * 4
+        path.unlink()
+        assert cli_main(["metrics", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: metrics.flow: ")
+
     def test_report_reemission_identical(self, tmp_path):
         spec = spec_in(SHIFT_EDIT, tmp_path)
         outcome = execute_run(spec)
@@ -143,22 +193,38 @@ class TestRunBatch:
         assert doc["metrics"]["masked_psnr"] > 0
         assert doc["result"]["dims"] == [1, 2, 3, 4, 4]
 
-    def test_contrast_pgms_written(self, tmp_path):
+    def test_contrast_pgm_stacks_every_step_in_diagnostics_order(self, tmp_path):
         spec = spec_in(SHIFT_EDIT, tmp_path)
         outcome = execute_run(spec)
-        pgms = sorted(outcome.out_dir.glob("contrast_step_*.pgm"))
-        assert len(pgms) == 7
+        assert [p.name for p in outcome.out_dir.glob("contrast*")] == ["contrast.pgm"]
+        img = read_pgm(outcome.out_dir / "contrast.pgm")
+        source = resolve_source(spec)
+        cfg = build_edit_config(spec, resolve_mask(spec, source))
+        _, report = run_edit(source, cfg, build_backend(spec, source))
+        frames, height, width = source.dims.frames, source.dims.height, source.dims.width
+        assert img.shape == (len(report.steps) * frames * height, width) == (7 * 3 * 4, 4)
+        rows = (outcome.out_dir / "diagnostics.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == len(report.steps)
+        bands = img.reshape(len(rows), frames * height, width)
+        for band, row, rec in zip(bands, rows, report.steps):
+            assert int(row.split(",")[1]) == rec.index
+            assert np.array_equal(band, quantize_contrast(rec.contrast[0, 0].reshape(-1, width)))
+        assert len(np.unique(bands)) > 1
 
     def test_constant_signal_contrast_is_black(self, tmp_path):
         # a null edit has an exactly-zero signal; its contrast map is black
-        from flowsteer.core import read_pgm
-
         spec = spec_in(NULL_EDIT + "save_contrast_maps = true\n", tmp_path)
         outcome = execute_run(spec)
-        pgms = sorted(outcome.out_dir.glob("contrast_step_*.pgm"))
-        assert pgms
-        img = read_pgm(pgms[0])
-        assert (img == 0).all()
+        img = read_pgm(outcome.out_dir / "contrast.pgm")
+        assert img.shape == (7 * 3 * 4, 4) and (img == 0).all()
+
+    def test_no_contrast_file_unless_asked_for(self, tmp_path):
+        spec = spec_in(SHIFT_EDIT.replace("save_contrast_maps = true", ""), tmp_path)
+        outcome = execute_run(spec)
+        assert outcome.ok and list(outcome.out_dir.glob("contrast*")) == []
+        assert sorted(p.name for p in outcome.out_dir.iterdir()) == [
+            "diagnostics.csv", "report.json", "result.fatn", "source.fatn"
+        ]
 
     def test_diagnostics_csv_layout(self, tmp_path):
         spec = spec_in(SHIFT_EDIT, tmp_path)
