@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream, clamp_time
+from .core import RngStream, check_time
 from .errors import ShapeMismatchError
 from .sar import TargetTokenSet
 
@@ -166,7 +166,6 @@ class VelocityQuery:
     def __post_init__(self):
         if self.condition not in ("source", "target"):
             raise ValueError(f"condition must be 'source' or 'target', got {self.condition!r}")
-        object.__setattr__(self, "time", clamp_time(self.time))
 
 
 def gaussian_velocity(
@@ -184,7 +183,7 @@ def gaussian_velocity(
     when s > 0, so no special-casing is needed anywhere on the grid. The
     result is written into ``out`` when given, which may be ``state``.
     """
-    t = clamp_time(t)
+    t = check_time(t)
     mu = cond.channel_mean(state.shape[1])
     s2 = cond.scale * cond.scale
     denom = (1.0 - t) * (1.0 - t) * s2 + t * t

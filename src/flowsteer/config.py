@@ -40,6 +40,10 @@ SECTIONS = ("backend", "grid", "sar", "amm", "io", "metrics")
 
 KNOWN_METRICS = ("masked_psnr", "warp_error", "frame_consistency", "local_structure")
 
+# The float32 values that the editing loop's working set, (n_avg + 3) source-size
+# latents, and each of the toy field's largest buffers may hold: 2**31 values, 8 GiB.
+WORKING_SET_BUDGET = 2**31
+
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -165,6 +169,12 @@ def _one_of(choices: tuple[str, ...], what: str):
     return check
 
 
+def _steps(value, _) -> Optional[str]:
+    # up to 2**52 steps, neighbouring times i / steps lie at least 2**-52 apart, twice
+    # the widest gap between floats below 1, so every time is a distinct float
+    return None if 1 <= value <= 2**52 else f"must lie in [1, 2**52], got {value}"
+
+
 def _skip(value, grid) -> Optional[str]:
     return None if 0 <= value < grid["steps"] else f"must satisfy 0 <= skip < steps, got {value}"
 
@@ -193,7 +203,7 @@ SCHEMA = (
     ("backend", "temperature", "temperature", _as_float, _positive),
     ("backend", "model_seed", "model_seed", _as_int, None),
     ("backend", "target_tokens", "target_tokens", _as_int_list, _target_tokens),
-    ("grid", "steps", "steps", _as_int, _at_least(1)),
+    ("grid", "steps", "steps", _as_int, _steps),
     ("grid", "skip", "skip", _as_int, _skip),
     ("grid", "n_avg", "n_avg", _as_int, _at_least(1)),
     ("sar", "beta1", "beta1", _as_float, None),
@@ -292,7 +302,11 @@ def _read_problem(exc: Exception) -> str:
 
 
 def resolve_source(spec: RunSpec) -> VideoLatent:
-    """Load or synthesize the source latent; substream 0 feeds synthesis."""
+    """Load or synthesize the source latent; substream 0 feeds synthesis.
+
+    Raises ConfigError("grid.n_avg") when the edit's working set of
+    (n_avg + 3) latents of the source's size exceeds ``WORKING_SET_BUDGET``.
+    """
     recipe = spec.io.source
     if recipe.startswith("gaussian:"):
         dims = _as_int_list("io.source", recipe.removeprefix("gaussian:"))
@@ -300,11 +314,19 @@ def resolve_source(spec: RunSpec) -> VideoLatent:
             raise ConfigError("io.source", f"recipe needs 5 positive dims, got {recipe!r}")
         if math.prod(dims) > MAX_ELEMENTS:
             raise ConfigError("io.source", f"{recipe!r} has more than {MAX_ELEMENTS} elements")
-        return VideoLatent(sample_gaussian(RngStream(spec.io.seed).substream(0), dims))
-    try:
-        return load_tensor(recipe)
-    except (OSError, ValueError) as exc:
-        raise ConfigError("io.source", _read_problem(exc)) from None
+        source = VideoLatent(sample_gaussian(RngStream(spec.io.seed).substream(0), dims))
+    else:
+        try:
+            source = load_tensor(recipe)
+        except (OSError, ValueError) as exc:
+            raise ConfigError("io.source", _read_problem(exc)) from None
+    if (spec.n_avg + 3) * source.data.size > WORKING_SET_BUDGET:
+        raise ConfigError(
+            "grid.n_avg",
+            f"{spec.n_avg} draws of {source.data.size} values need a working set of "
+            f"more than {WORKING_SET_BUDGET} values",
+        )
+    return source
 
 
 def resolve_mask(spec: RunSpec, latent: VideoLatent) -> EditMask:
@@ -360,7 +382,10 @@ def resolve_flow(spec: RunSpec, latent: VideoLatent) -> Optional[FlowField]:
 def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
     """The source/target condition pair the spec describes.
 
-    A Gaussian mean needs 1 entry or one per channel of ``latent``.
+    A Gaussian mean needs 1 entry or one per channel of ``latent``. The toy
+    field's largest buffers must each fit ``WORKING_SET_BUDGET``: a thread's
+    (L, F*H*W) logits, sized by ``tokens``, its (d, F*H*W) queries, sized by
+    ``query_dim``, and the (L, d) keys, charged to the larger of the two.
     """
     b = spec.backend
     channels = latent.dims.channels
@@ -375,6 +400,15 @@ def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
                 )
             pair.append(GaussianCondition(np.asarray(mean, dtype=np.float32), b.scale))
         return BackendRegistry(*pair)
+    voxels = math.prod(latent.dims[2:])
+    larger = "tokens" if b.tokens >= b.query_dim else "query_dim"
+    for key, size in (("tokens", b.tokens), ("query_dim", b.query_dim)):
+        keys = b.tokens * b.query_dim if key == larger else 0
+        if max(size * voxels, keys) > WORKING_SET_BUDGET:
+            raise ConfigError(
+                f"backend.{key}",
+                f"{size} makes a toy-field buffer of more than {WORKING_SET_BUDGET} values",
+            )
     src, tar = make_toy_condition_pair(
         b.model_seed,
         b.tokens,

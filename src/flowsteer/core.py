@@ -8,6 +8,11 @@ Conventions fixed here and relied on by every other module:
   latent is loaded or synthesized, and the editing loop checks its state once
   at the end of each step. Inside a step, layers pass plain arrays.
 
+* Times lie in [0, 1]. The grid is ``t_i = i / steps``, walked from 1 down
+  to 0, and the functions that compute with a time (``interpolate_source``
+  here, ``gaussian_velocity`` in ``backends``) reject any other t with
+  ``ValueError``; nothing is snapped into range.
+
 * Tensor files ("FATN") carry an ASCII header line
   ``FATN <ndim> <d1> ... <dn>\\n`` followed by a little-endian float32
   payload of ``prod(dims)`` values in C order. Round-trips are bit-exact.
@@ -89,9 +94,6 @@ _CHUNK_PAIRS = 1 << 16
 _FILL_PAIRS = 1 << 14
 # Uniform draws of at most this many values run on Python ints, not numpy.
 _SMALL_DRAW = 16
-
-# Times this far outside [0, 1] are treated as grid-construction noise.
-TIME_CLAMP_SLACK = 1e-12
 
 # Dimensions in tensor file headers must keep the payload addressable.
 MAX_ELEMENTS = 2**31
@@ -181,11 +183,6 @@ class TimeGrid:
             raise ValueError("steps must be >= 1")
         if not 0 <= self.skip < self.steps:
             raise ValueError(f"skip must satisfy 0 <= skip < steps, got {self.skip}")
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """t_steps = 1, ..., t_0 = 0."""
-        return tuple(i / self.steps for i in range(self.steps, -1, -1))
 
     @property
     def active_steps(self) -> int:
@@ -512,12 +509,8 @@ def sample_gaussian(rng: RngStream, dims: Sequence[int]) -> np.ndarray:
     return rng.normals(n, np.float32).reshape(dims)
 
 
-def clamp_time(t: float) -> float:
-    """Snap grid-construction noise just outside [0, 1]; reject real violations."""
-    if -TIME_CLAMP_SLACK <= t < 0.0:
-        return 0.0
-    if 1.0 < t <= 1.0 + TIME_CLAMP_SLACK:
-        return 1.0
+def check_time(t: float) -> float:
+    """``t`` as a float; raises ValueError unless 0 <= t <= 1."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t!r} outside [0, 1]")
     return float(t)
@@ -533,7 +526,7 @@ def interpolate_source(
     """
     if x_src.shape != noise.shape:
         raise ShapeMismatchError(f"source shape {x_src.shape} != noise shape {noise.shape}")
-    t = clamp_time(t)
+    t = check_time(t)
     if t == 0.0 or t == 1.0:
         end = x_src if t == 0.0 else noise
         if out is None:

@@ -25,9 +25,11 @@ errors, such as a target token index out of range, propagate unchanged.
 Determinism: the run seed spawns one substream per step index, so a
 step's noise depends only on (seed, step index, draw index), and skipping
 more initial steps never shifts noise onto different steps. It also lets a
-run draw ahead: every draw is started into a workspace buffer, step 0's
-before the loop and step k+1's as soon as step k's are joined, and the
-draw alone decides whether ``core.POOL`` helps (see ``core``).
+run draw ahead while it walks the grid's intervals one at a time. Every
+draw is started into a workspace buffer: the first step's, from
+``substream(grid.active_steps)``, before the loop, and the next step's,
+from ``substream(index - 1)``, as soon as the draws of step ``index`` are
+joined. The draw alone decides whether ``core.POOL`` helps (see ``core``).
 
 Every step runs in place, in the latent-size buffers of a per-run
 workspace, with each velocity written into its state's buffer. At
@@ -252,20 +254,19 @@ def run_edit(
     report = EditReport(seed=cfg.seed, frames=frames, gain=gain)
     run_rng = RngStream(cfg.seed)
     x = z_edit = x_src.data
-    steps = list(cfg.grid.intervals())
     ws = _Workspace(x.shape)
 
     def start_draws(rng: RngStream) -> None:  # each into a buffer of the workspace
         for _ in range(cfg.n_avg):
             rng.start_normals(x.size, np.float32, out=ws.take().reshape(-1))
 
-    ahead = run_rng.substream(steps[0][0])  # the stream whose draws are started
+    ahead = run_rng.substream(cfg.grid.active_steps)  # the stream whose draws are started
     try:
         start_draws(ahead)
-        for k, (index, t, t_next) in enumerate(steps):
+        for index, t, t_next in cfg.grid.intervals():
             noises = [sample_gaussian(ahead, x.shape) for _ in range(cfg.n_avg)]
-            if k + 1 < len(steps):
-                ahead = run_rng.substream(steps[k + 1][0])
+            if index > 1:
+                ahead = run_rng.substream(index - 1)
                 start_draws(ahead)
             dv, noise, z_src, z_tar = editing_signal(z_edit, x, t, cfg, backend, noises, ws)
             contrast = contrast_map(dv, cfg.amm.epsilon)

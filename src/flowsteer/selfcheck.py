@@ -309,9 +309,8 @@ def check_mean_shift_edit() -> tuple[bool, str]:
         return (2.0 * t - 1.0) * (z - (1.0 - t) * mu) / denom - mu
 
     c = 0.0
-    values = grid.values
     for k in range(grid.skip, grid.steps):
-        t, t_next = values[k], values[k + 1]
+        t, t_next = (grid.steps - k) / grid.steps, (grid.steps - k - 1) / grid.steps
         dv = scalar_velocity(c, t, 1.0) - scalar_velocity(0.0, t, 0.0)
         c += (t_next - t) * dv
     diff = abs(float(ratio.mean()) - c)

@@ -29,6 +29,7 @@ from flowsteer.config import (
 )
 from flowsteer.core import write_fatn, write_pgm
 from flowsteer.errors import ConfigError
+from flowsteer.runner import execute_run
 
 SCHEMA_KEYS = [f"{section}.{key}" for section, key, *_ in SCHEMA]
 
@@ -281,6 +282,79 @@ class TestResolvers:
         with pytest.raises(ConfigError, match="more than 60 elements") as info:
             resolve_source(above)
         assert info.value.key_path == "io.source"
+
+
+class TestRunSizeBounds:
+    """A spec that asks for more than a run can hold fails by its key before
+    anything is allocated."""
+
+    def test_steps_bounded_where_grid_times_stay_distinct(self):
+        assert parse_config_text(one_key("grid.steps", str(2**52))).steps == 2**52
+        for raw in (str(2**52 + 1), "99999999999999999999"):
+            with pytest.raises(ConfigError, match=r"must lie in \[1, 2\*\*52\]") as info:
+                parse_config_text(one_key("grid.steps", raw))
+            assert info.value.key_path == "grid.steps"
+
+    SMALL = "[io]\nsource = gaussian:1,1,1,3,5\n"  # 15 values
+
+    def test_n_avg_bounded_by_the_working_set(self, monkeypatch):
+        monkeypatch.setattr(config, "WORKING_SET_BUDGET", 60)
+        # (n_avg + 3) latents of 15 values fit 60 values up to n_avg = 1
+        assert resolve_source(parse_config_text(self.SMALL + "[grid]\nn_avg = 1\n"))
+        for raw in ("2", "99999999999999999999"):
+            spec = parse_config_text(self.SMALL + f"[grid]\nn_avg = {raw}\n")
+            with pytest.raises(ConfigError, match="more than 60 values") as info:
+                resolve_source(spec)
+            assert info.value.key_path == "grid.n_avg"
+
+    def test_oversized_n_avg_fails_the_run_before_it_writes(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(config, "WORKING_SET_BUDGET", 60)
+        spec = parse_config_text(self.SMALL + f"[grid]\nn_avg = 2\n[io]\nout_dir = {tmp_path}\n")
+        outcome = execute_run(spec)
+        assert not outcome.ok and "grid.n_avg" in outcome.error
+        assert sorted(p.name for p in outcome.out_dir.iterdir()) == ["diagnostics.csv", "report.json"]
+
+    @pytest.mark.parametrize("key", ["tokens", "query_dim"])
+    def test_toy_size_beyond_numpy_names_its_key(self, key):
+        # numpy itself rejects these dims before allocating
+        text = f"[backend]\ntype = toy_attention\n{key} = 99999999999999999999\n"
+        spec = parse_config_text(text)
+        with pytest.raises(ConfigError, match="more than") as info:
+            build_backend(spec, resolve_source(spec))
+        assert info.value.key_path == f"backend.{key}"
+
+    @pytest.mark.parametrize(
+        "tokens,query_dim,fault",
+        [
+            (4, 4, None),  # (4, 15) logits and queries, (4, 4) keys: 60 values each
+            (5, 4, "tokens"),  # (5, 15) logits
+            (4, 5, "query_dim"),  # (5, 15) queries
+        ],
+    )
+    def test_toy_buffers_bounded(self, monkeypatch, tokens, query_dim, fault):
+        monkeypatch.setattr(config, "WORKING_SET_BUDGET", 60)
+        spec = parse_config_text(
+            self.SMALL + f"[backend]\ntype = toy_attention\ntokens = {tokens}\n"
+            f"query_dim = {query_dim}\n"
+        )
+        if fault is None:
+            assert build_backend(spec, resolve_source(spec)).source.text_keys.shape == (4, 4)
+            return
+        with pytest.raises(ConfigError, match="more than 60 values") as info:
+            build_backend(spec, resolve_source(spec))
+        assert info.value.key_path == f"backend.{fault}"
+
+    @pytest.mark.parametrize("tokens,query_dim,fault", [(9, 8, "tokens"), (8, 9, "query_dim")])
+    def test_toy_keys_bounded_under_the_larger_key(self, monkeypatch, tokens, query_dim, fault):
+        # a one-voxel latent: the (L, d) keys are the largest buffer
+        monkeypatch.setattr(config, "WORKING_SET_BUDGET", 64)
+        spec = parse_config_text(
+            f"[io]\nsource = gaussian:1,1,1,1,1\n[backend]\ntype = toy_attention\n"
+            f"tokens = {tokens}\nquery_dim = {query_dim}\n"
+        )
+        with pytest.raises(ConfigError, match="more than 64 values") as info:
+            build_backend(spec, resolve_source(spec))
+        assert info.value.key_path == f"backend.{fault}"
 
 
 class TestResolveFlow:

@@ -343,6 +343,28 @@ class TestRunEdit:
             run_edit(make_latent(), cfg, reg)
         assert not isinstance(err.value, NonFiniteStateError)
 
+    def test_walks_the_grid_lazily(self, make_latent):
+        # each step runs as its interval is yielded, not after the whole grid is listed
+        class TwoStepsThenFail(TimeGrid):
+            def intervals(self):
+                steps = super().intervals()
+                yield next(steps)
+                yield next(steps)
+                raise RuntimeError("grid gave out")
+
+        times = []
+
+        class Recording(BackendRegistry):
+            def velocity(self, query):
+                times.append(query.time)
+                return super().velocity(query)
+
+        reg = gaussian_registry(0.0, 1.0)
+        recording = Recording(reg.source, reg.target)
+        with pytest.raises(RuntimeError, match="grid gave out"):
+            run_edit(make_latent(), make_cfg(grid=TwoStepsThenFail(5)), recording)
+        assert times == [1.0, 1.0, 0.8, 0.8]
+
 
 def _report_bytes(report):
     """Every field of every step record, arrays as bytes, for exact comparison."""

@@ -24,6 +24,7 @@ from flowsteer import (
     write_fatn,
 )
 from flowsteer import core
+from flowsteer.backends import GaussianCondition, gaussian_velocity
 from flowsteer.core import resample_mask_any, write_pgm
 from flowsteer.errors import ShapeMismatchError, TensorFormatError
 
@@ -466,12 +467,12 @@ class TestInterpolate:
                 make_latent((1, 1, 1, 2, 2)).data, make_latent((1, 1, 1, 3, 3)).data, 0.5
             )
 
-    def test_clamps_tiny_violation_only(self, make_latent):
+    def test_rejects_tiny_violation(self, make_latent):
+        # nothing is snapped: a time a hair outside [0, 1] is as wrong as any other
         x, n = make_latent(), make_latent()
-        out = interpolate_source(x.data, n.data, -1e-13)
-        assert np.array_equal(out, x.data)
-        with pytest.raises(ValueError):
-            interpolate_source(x.data, n.data, -1e-6)
+        for t in (-1e-13, 1.0 + 1e-13, -1e-6):
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                interpolate_source(x.data, n.data, t)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(min_value=-4.0, max_value=4.0), t=st.floats(min_value=0.0, max_value=1.0))
@@ -481,6 +482,34 @@ class TestInterpolate:
         scaled = interpolate_source(np.float32(alpha) * x.data, np.float32(alpha) * n.data, t)
         base = interpolate_source(x.data, n.data, t)
         assert np.allclose(scaled, np.float32(alpha) * base, rtol=1e-5, atol=1e-6)
+
+
+class TestTimeContract:
+    """Both functions that compute with t take exactly the times in [0, 1]."""
+
+    X = np.linspace(-2.0, 2.0, 24, dtype=np.float32).reshape(1, 2, 1, 3, 4)
+    N = np.linspace(1.5, -0.5, 24, dtype=np.float32).reshape(1, 2, 1, 3, 4)
+    COND = GaussianCondition(np.array([0.25, -0.5], dtype=np.float32), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        t=st.floats().filter(lambda t: not 0.0 <= t <= 1.0)
+        | st.sampled_from([-1e-13, 1.0 + 1e-13, -5e-324, math.nextafter(1.0, 2.0)])
+    )
+    def test_time_outside_unit_interval_raises(self, t):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            interpolate_source(self.X, self.N.copy(), t)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            gaussian_velocity(self.X, t, self.COND)
+
+    @pytest.mark.parametrize("t", [0, 0.0, 1, 1.0, np.float64(1.0)])
+    def test_endpoints_keep_their_bits(self, t):
+        x, n = self.X, self.N
+        assert interpolate_source(x, n, t).tobytes() == (n if t else x).tobytes()
+        mu = self.COND.mean.reshape(1, 2, 1, 1, 1)
+        # s = 1: the velocity is z - mu at t = 1 and -(z - mu) - mu at t = 0
+        want = x - mu if t else -(x - mu) - mu
+        assert gaussian_velocity(x, t, self.COND).tobytes() == want.tobytes()
 
 
 class TestFatnIO:
@@ -687,13 +716,11 @@ class TestMask:
 class TestTimeGrid:
     def test_uniform_grid(self):
         g = TimeGrid(4)
-        assert g.values == (1.0, 0.75, 0.5, 0.25, 0.0)
         assert list(g.intervals()) == [(4, 1.0, 0.75), (3, 0.75, 0.5), (2, 0.5, 0.25), (1, 0.25, 0.0)]
         assert g.steps == 4 and g.skip == 0 and g.active_steps == 4
 
     def test_intervals_skip_semantics(self):
         g = TimeGrid(5, skip=2)
-        assert g.values == (1.0, 0.8, 0.6, 0.4, 0.2, 0.0)
         assert list(g.intervals()) == [(3, 0.6, 0.4), (2, 0.4, 0.2), (1, 0.2, 0.0)]
         assert g.active_steps == 3
 
@@ -701,9 +728,8 @@ class TestTimeGrid:
         # t and dt of every step are the floats i / steps, whatever the skip
         for steps in (1, 3, 7, 25, 500):
             g = TimeGrid(steps, skip=steps // 2)
-            assert g.values == tuple(i / steps for i in range(steps, -1, -1))
-            for i, t, t_next in g.intervals():
-                assert (t, t_next) == (g.values[steps - i], g.values[steps - i + 1])
+            want = [(i, i / steps, (i - 1) / steps) for i in range(steps - steps // 2, 0, -1)]
+            assert list(g.intervals()) == want
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
