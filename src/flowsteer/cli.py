@@ -7,7 +7,8 @@
 
 ``edit`` runs one configured edit and writes its artifacts; ``sweep``
 repeats the run across latent frame counts (the config's synthesis recipes
-use F as the frame-count placeholder) and writes sweep.csv; ``metrics``
+use F as the frame-count placeholder) and replaces the run directory with
+one holding sweep.csv and its manifest; ``metrics``
 evaluates the configured metrics on already-written artifacts; ``selftest``
 runs the full property/oracle gate and prints one line per criterion.
 """
@@ -23,7 +24,7 @@ from .config import parse_config, resolve_flow, resolve_mask, run_dir, with_out_
 from .core import load_tensor
 from .diagnostics import sweep_rows_to_csv
 from .errors import FlowSteerError
-from .runner import evaluate_metrics, frame_sweep, run_batch
+from .runner import evaluate_metrics, frame_sweep, run_batch, staged
 from .selfcheck import CRITERIA, run_criteria
 
 
@@ -52,11 +53,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    csv_path = run_dir(spec) / "sweep.csv"
+    out = run_dir(spec)
     rows = frame_sweep(spec, [int(tok) for tok in tokens])
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    csv_path.write_text(sweep_rows_to_csv(rows), encoding="utf-8")
-    print(f"{len(rows)} rows -> {csv_path}")
+    with staged(out) as stage:
+        (stage / "sweep.csv").write_text(sweep_rows_to_csv(rows), encoding="utf-8")
+    print(f"{len(rows)} rows -> {out / 'sweep.csv'}")
     return 0
 
 

@@ -33,12 +33,12 @@ from .core import (
 )
 from .engine import EditConfig
 from .errors import ConfigError
-from .metrics import FlowField
+from .metrics import METRICS, FlowField
 from .sar import SarConfig, TargetTokenSet
 
 SECTIONS = ("backend", "grid", "sar", "amm", "io", "metrics")
 
-KNOWN_METRICS = ("masked_psnr", "warp_error", "frame_consistency", "local_structure")
+KNOWN_METRICS = tuple(METRICS)
 
 # The float32 values that the editing loop's working set, (n_avg + 3) source-size
 # latents, and each of the toy field's largest buffers may hold: 2**31 values, 8 GiB.
@@ -458,9 +458,12 @@ def run_dir(spec: RunSpec) -> Path:
     """The directory a run writes its artifacts into: ``out_dir/<scenario>``.
 
     The scenario must be one plain path component, so that no run writes
-    outside ``out_dir`` or inside another run's directory.
+    outside ``out_dir`` or inside another run's directory, and must not start
+    with a dot, which marks the staging directories of runs.
     """
     scenario = spec.io.scenario
-    if Path(scenario).name != scenario or scenario in ("", ".", ".."):
-        raise ConfigError("io.scenario", f"must be a plain name, not a path, got {scenario!r}")
+    if Path(scenario).name != scenario or scenario[:1] in ("", "."):
+        raise ConfigError(
+            "io.scenario", f"must be a plain name, not a path or a dot name, got {scenario!r}"
+        )
     return Path(spec.io.out_dir) / scenario

@@ -21,6 +21,10 @@ class ConfigError(FlowSteerError, ValueError):
         self.key_path = key_path
 
 
+class MetricUndefinedError(FlowSteerError, ValueError):
+    """A metric has no value on these inputs; the message says why, as a report records it."""
+
+
 class NonFiniteStateError(FlowSteerError, FloatingPointError):
     """The trajectory state went non-finite; carries the failing step index."""
 

@@ -9,16 +9,22 @@ Flow-warp error uses backward bilinear sampling with border clamping:
 cells whose source coordinate falls outside the frame by more than half a
 pixel are excluded from the mean and counted. Aggregation is a full-frame
 mean over all included cells of all frame pairs.
+
+A metric that has no value on its inputs (no region to compare, too few
+frames, no flow) raises ``MetricUndefinedError`` with the reason as the
+report records it. ``METRICS`` maps each metric's config name to its
+evaluation on a run's channel-mean videos.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import EditMask
-from .errors import ShapeMismatchError
+from .errors import MetricUndefinedError, ShapeMismatchError
 
 PSNR_CAP_DB = 99.0
 
@@ -125,7 +131,7 @@ def masked_psnr(a: np.ndarray, b: np.ndarray, mask: EditMask, peak: float = 1.0)
         raise ValueError(f"peak must be positive, got {peak}")
     outside = ~mask.data
     if not outside.any():
-        raise ValueError("mask covers everything; the metric region is empty")
+        raise MetricUndefinedError("mask covers everything; no unedited region")
     diff = va[..., outside] - vb[..., outside]
     mse = float(np.mean(diff * diff))
     if mse < peak * peak * 10.0**-9.9:
@@ -140,19 +146,21 @@ class WarpErrorResult:
     excluded_cells: int
 
 
-def warp_error_detail(video: np.ndarray, flow: FlowField) -> WarpErrorResult:
+def warp_error_detail(video: np.ndarray, flow: Optional[FlowField]) -> WarpErrorResult:
     """Mean squared deviation between flow-warped frames and their successors.
 
     Frame f is sampled at (y - dy, x - dx) to predict frame f+1; sampling is
     bilinear with coordinates clamped to the frame, and cells whose source
     position lies outside by more than 0.5 px are excluded from the mean.
     """
+    if flow is None:
+        raise MetricUndefinedError("no flow file configured")
     vid = _check_video(video, "video")
     if vid.ndim != 3:
         raise ShapeMismatchError(f"warp error expects a (F, H, W) video, got {vid.shape}")
     frames, height, width = vid.shape
     if frames < 2:
-        raise ValueError("warp error needs at least two frames")
+        raise MetricUndefinedError("needs at least two frames")
     if flow.data.shape != (frames - 1, 2, height, width):
         raise ShapeMismatchError(
             f"flow shape {flow.data.shape} does not match video {(frames - 1, 2, height, width)}"
@@ -189,7 +197,7 @@ def warp_error_detail(video: np.ndarray, flow: FlowField) -> WarpErrorResult:
         compared += int(valid.sum())
         excluded += int((~valid).sum())
     if compared == 0:
-        raise ValueError("flow pushed every cell out of frame; nothing to compare")
+        raise MetricUndefinedError("flow pushed every cell out of frame; nothing to compare")
     return WarpErrorResult(total / compared, compared, excluded)
 
 
@@ -203,7 +211,7 @@ def frame_consistency(video: np.ndarray, embedder: ToyFrameEmbedder) -> float:
     if vid.ndim != 3:
         raise ShapeMismatchError(f"frame consistency expects (F, H, W), got {vid.shape}")
     if vid.shape[0] < 2:
-        raise ValueError("frame consistency needs at least two frames")
+        raise MetricUndefinedError("needs at least two frames")
     embeddings = [np.asarray(embedder.embed(frame), dtype=np.float64) for frame in vid]
     for e in embeddings:
         if abs(np.linalg.norm(e) - 1.0) > 1e-6:
@@ -231,7 +239,7 @@ def local_structure_similarity(
     if vs.shape != (mask.shape[0],) + mask.shape[1:]:
         raise ShapeMismatchError(f"mask {mask.shape} does not match video {vs.shape}")
     if mask.is_empty():
-        raise ValueError("mask is empty; no region to compare")
+        raise MetricUndefinedError("mask is empty; no region to compare")
     sims = []
     for f in range(vs.shape[0]):
         bits = mask.data[f]
@@ -245,3 +253,15 @@ def local_structure_similarity(
         eb = np.asarray(embedder.embed(ve[f, r0:r1, c0:c1]), dtype=np.float64)
         sims.append(float(ea @ eb))
     return float(np.mean(sims))
+
+
+# config name -> metric of (source, edited, mask, flow, peak, embedder), where source
+# and edited are (F, H, W) videos and flow is None when no flow file is configured
+METRICS = {
+    "masked_psnr": lambda src, out, mask, flow, peak, emb: masked_psnr(out, src, mask, peak),
+    "warp_error": lambda src, out, mask, flow, peak, emb: asdict(warp_error_detail(out, flow)),
+    "frame_consistency": lambda src, out, mask, flow, peak, emb: frame_consistency(out, emb),
+    "local_structure": lambda src, out, mask, flow, peak, emb: local_structure_similarity(
+        src, out, mask, emb
+    ),
+}

@@ -13,6 +13,11 @@ Each run gets its own directory ``out_dir/<scenario>/`` holding:
   plane is sample 0's frames stacked vertically, (F*H, W); the planes are
   stacked in step order, so band k (rows k*F*H up to (k+1)*F*H) belongs to
   the k-th row of ``diagnostics.csv``
+* ``MANIFEST.sha256`` - the SHA-256 of every other file, in ``sha256sum`` format
+
+A run, failed or not, is built in a staging directory ``out_dir/.<scenario>.stage``
+that then replaces ``out_dir/<scenario>`` whole (see ``staged``), so the directory
+never mixes the files of two runs.
 
 Runs are independent and may execute on a thread pool of the requested
 number of workers; all writes stay inside per-run directories.
@@ -20,11 +25,14 @@ number of workers; all writes stay inside per-run directories.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,15 +50,8 @@ from .config import (
 from .core import EditMask, VideoLatent, save_tensor, write_pgm
 from .diagnostics import DEFAULT_BINARIZE_THRESHOLD, report_rows, sweep_rows_to_csv
 from .engine import EditReport, run_edit
-from .errors import ConfigError, FlowSteerError, ShapeMismatchError
-from .metrics import (
-    FlowField,
-    ToyFrameEmbedder,
-    frame_consistency,
-    local_structure_similarity,
-    masked_psnr,
-    warp_error_detail,
-)
+from .errors import ConfigError, FlowSteerError, MetricUndefinedError, ShapeMismatchError
+from .metrics import METRICS, FlowField, ToyFrameEmbedder
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -76,37 +77,16 @@ def evaluate_metrics(
     flow: Optional[FlowField],
 ) -> dict:
     """Selected metrics on the channel-mean videos of result vs. source;
-    ``flow`` is ``resolve_flow``'s field for ``warp_error``."""
-    values: dict = {}
-    src_video = channel_mean_video(source)
-    out_video = channel_mean_video(result)
+    ``flow`` is ``resolve_flow``'s field for ``warp_error``. A metric that is
+    undefined on these inputs is recorded as ``{"error": reason}``."""
+    videos = channel_mean_video(source), channel_mean_video(result)
     embedder = ToyFrameEmbedder(spec.metrics.embed_grid)
+    values: dict = {}
     for name in spec.metrics.enable:
-        if name == "masked_psnr":
-            if mask.data.all():
-                values[name] = {"error": "mask covers everything; no unedited region"}
-            else:
-                values[name] = masked_psnr(out_video, src_video, mask, spec.metrics.peak)
-        elif name == "frame_consistency":
-            if out_video.shape[0] < 2:
-                values[name] = {"error": "needs at least two frames"}
-            else:
-                values[name] = frame_consistency(out_video, embedder)
-        elif name == "local_structure":
-            if mask.is_empty():
-                values[name] = {"error": "mask is empty; no region to compare"}
-            else:
-                values[name] = local_structure_similarity(src_video, out_video, mask, embedder)
-        elif name == "warp_error":
-            if flow is None:
-                values[name] = {"error": "no flow file configured"}
-            else:
-                detail = warp_error_detail(out_video, flow)
-                values[name] = {
-                    "value": detail.value,
-                    "compared_cells": detail.compared_cells,
-                    "excluded_cells": detail.excluded_cells,
-                }
+        try:
+            values[name] = METRICS[name](*videos, mask, flow, spec.metrics.peak, embedder)
+        except MetricUndefinedError as exc:
+            values[name] = {"error": str(exc)}
     return values
 
 
@@ -183,28 +163,59 @@ def emit_report(
             write_pgm(run_dir / "contrast.pgm", quantize_contrast(stacked))
 
 
+@contextmanager
+def staged(out: Path) -> Iterator[Path]:
+    """A fresh staging directory that replaces the directory ``out`` on a clean exit.
+
+    Leftovers of an interrupted replacement of ``out``, ``.<name>.stage`` and
+    ``.<name>.old`` next to it, are removed first. On a clean exit
+    ``MANIFEST.sha256`` is written last, ``out`` is renamed aside, the staging
+    directory renamed in, and the old one deleted; a crash in between leaves
+    the old or the new directory complete, or none. On an exception the staging
+    directory is deleted and ``out`` is left as it was.
+    """
+    stage, aside = out.with_name(f".{out.name}.stage"), out.with_name(f".{out.name}.old")
+    for leftover in (stage, aside):
+        shutil.rmtree(leftover, ignore_errors=True)
+    stage.mkdir(parents=True)
+    try:
+        yield stage
+        lines = [
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted(stage.iterdir())
+        ]
+        (stage / "MANIFEST.sha256").write_text("".join(lines), encoding="utf-8")
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    if out.exists():
+        out.rename(aside)
+    stage.rename(out)
+    shutil.rmtree(aside, ignore_errors=True)
+
+
 def execute_run(spec: RunSpec) -> RunOutcome:
     out = run_dir(spec)
+    error = None
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        source = resolve_source(spec)
-        mask = resolve_mask(spec, source)
-        flow = resolve_flow(spec, source)
-        backend = build_backend(spec, source)
-        cfg = build_edit_config(spec, mask)
-        save_tensor(source, out / "source.fatn")
-        result, report = run_edit(source, cfg, backend)
-        metric_values = evaluate_metrics(spec, source, result, mask, flow)
-        save_tensor(result, out / "result.fatn")
-        emit_report(spec, out, report, result, metric_values)
-        return RunOutcome(spec.io.scenario, out, ok=True)
-    except (FlowSteerError, OSError, ValueError) as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        try:
-            emit_report(spec, out, None, None, None, error=message)
-        except OSError:
-            pass
-        return RunOutcome(spec.io.scenario, out, ok=False, error=message)
+        with staged(out) as stage:
+            try:
+                source = resolve_source(spec)
+                mask = resolve_mask(spec, source)
+                flow = resolve_flow(spec, source)
+                backend = build_backend(spec, source)
+                cfg = build_edit_config(spec, mask)
+                save_tensor(source, stage / "source.fatn")
+                result, report = run_edit(source, cfg, backend)
+                metric_values = evaluate_metrics(spec, source, result, mask, flow)
+                save_tensor(result, stage / "result.fatn")
+                emit_report(spec, stage, report, result, metric_values)
+            except (FlowSteerError, OSError, ValueError, MemoryError) as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                emit_report(spec, stage, None, None, None, error=error)
+    except OSError as exc:  # the directory itself cannot be staged or swapped in
+        error = error or f"{type(exc).__name__}: {exc}"
+    return RunOutcome(spec.io.scenario, out, ok=error is None, error=error)
 
 
 def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[RunOutcome]]:
@@ -212,7 +223,8 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
     exit status 0 iff all finished.
 
     Raises ConfigError("io.scenario", ...) before any run starts when a
-    scenario is not a plain name or two specs resolve to the same run directory.
+    scenario is not a plain name (see ``run_dir``) or two specs resolve to the
+    same run directory.
     """
     seen: dict[Path, str] = {}
     for spec in specs:

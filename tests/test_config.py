@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsteer import config
@@ -312,7 +312,9 @@ class TestRunSizeBounds:
         spec = parse_config_text(self.SMALL + f"[grid]\nn_avg = 2\n[io]\nout_dir = {tmp_path}\n")
         outcome = execute_run(spec)
         assert not outcome.ok and "grid.n_avg" in outcome.error
-        assert sorted(p.name for p in outcome.out_dir.iterdir()) == ["diagnostics.csv", "report.json"]
+        assert sorted(p.name for p in outcome.out_dir.iterdir()) == [
+            "MANIFEST.sha256", "diagnostics.csv", "report.json"
+        ]
 
     @pytest.mark.parametrize("key", ["tokens", "query_dim"])
     def test_toy_size_beyond_numpy_names_its_key(self, key):
@@ -401,7 +403,10 @@ class TestRunDir:
         spec = parse_config_text("[io]\nscenario = wan.v2\nout_dir = runs\n")
         assert run_dir(spec) == Path("runs") / "wan.v2"
 
-    @pytest.mark.parametrize("scenario", ["../x", ".", "..", "a/b", "/abs", ""])
+    # a leading dot is kept for the staging directories of runs
+    @pytest.mark.parametrize(
+        "scenario", ["../x", ".", "..", "a/b", "/abs", "", ".hidden", ".run.stage", ".run.old"]
+    )
     def test_scenario_must_be_one_plain_name(self, scenario):
         spec = RunSpec()
         with pytest.raises(ConfigError) as info:
@@ -526,6 +531,91 @@ ROW_STRATEGIES = {
     "metrics.embed_grid": st.integers(1, 64),
     "metrics.edited": st.just("") | TEXT,
 }
+
+
+# Values no key should take: huge, negative and non-finite numbers, empty text,
+# path-like text, and malformed or oversized recipes.
+HOSTILE = (
+    "99999999999999999999", "-99999999999999999999", "9" * 5000, str(2**63), "-1", "0",
+    "1e308", "-1e308", "1e-320", "nan", "NaN", "inf", "-inf", "Infinity",
+    "", ",", "../x", ".", "..", "/", "a/b", "~", "/nonexistent/x.fatn", "x.pgm", "out/../..",
+    "gaussian:", "gaussian:1,4,5,8", "gaussian:0,4,5,8,8", "gaussian:-1,4,5,8,8",
+    "gaussian:99999999999999999999,1,1,1,1", "gaussian:1,4,F,8,8",
+    "box:", "box:0:5", "box:5:0,2:6,2:6", "box:0:99999999999999999999,2:6,2:6",
+    "box:-1:5,2:6,2:6", "box:a:b,c:d,e:f",
+)
+HOSTILE_TEXT = (
+    st.integers(-(2**80), 2**80).map(str)
+    | st.floats().map(repr)
+    | st.text(alphabet="./~-_,:ab0F", max_size=12).map(str.strip)
+)
+# The key an error may name instead of the hostile key: the one checked against it.
+CHECKED_AGAINST = {"grid.steps": "grid.skip", "backend.tokens": "backend.target_tokens"}
+
+
+def quick_start_with(key: str, raw: str, flow: Path) -> str:
+    """The README quick-start config, with ``flow`` for its flow file and
+    ``key`` set to ``raw``."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("Write `edit.cfg`:", 1)[1].split("```", 2)[1]
+    text = text.replace("flow = flow.fatn", f"flow = {flow}")
+    section, _, name = key.partition(".")
+    lines, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line[1:-1]
+        if current != section or line.partition("=")[0].strip() != name:
+            lines.append(line)
+        if line == f"[{section}]":
+            lines.append(f"{name} = {raw}")
+    if f"[{section}]" not in lines:
+        lines += [f"[{section}]", f"{name} = {raw}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def quick_start_flow(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flow") / "flow.fatn"
+    write_fatn(path, np.zeros((4, 2, 8, 8), np.float32))
+    return path
+
+
+def with_hostile_examples(test):
+    for raw in HOSTILE:
+        test = example(raw=raw)(test)
+    return test
+
+
+class TestHostileValues:
+    """Every value of every key gives run inputs or a ConfigError naming that
+    key, from parsing through every resolver."""
+
+    @pytest.mark.parametrize("key", SCHEMA_KEYS)
+    @settings(max_examples=25, deadline=None)
+    @with_hostile_examples
+    @given(raw=HOSTILE_TEXT)
+    def test_outcome_is_inputs_or_an_error_naming_the_key(self, quick_start_flow, key, raw):
+        text = quick_start_with(key, raw, quick_start_flow)
+        # small bounds, so that no accepted value allocates more than a few MiB
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(config, "WORKING_SET_BUDGET", 2**16)
+            patch.setattr(config, "MAX_ELEMENTS", 2**16)
+            try:
+                spec = parse_config_text(text)
+                run_dir(spec)
+                source = resolve_source(spec)
+                mask = resolve_mask(spec, source)
+                resolve_flow(spec, source)
+                build_backend(spec, source)
+                build_edit_config(spec, mask)
+            except ConfigError as exc:
+                assert exc.key_path in (key, CHECKED_AGAINST.get(key)), str(exc)
+
+    def test_untouched_quick_start_gives_inputs(self, quick_start_flow):
+        spec = parse_config_text(quick_start_with("io.seed", "11", quick_start_flow))
+        source = resolve_source(spec)
+        assert resolve_flow(spec, source).data.shape == (4, 2, 8, 8)
+        assert build_edit_config(spec, resolve_mask(spec, source)).mask.data.sum() == 5 * 4 * 4
 
 
 @st.composite

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from flowsteer import EditMask, RngStream
-from flowsteer.errors import ShapeMismatchError
+from flowsteer.config import KNOWN_METRICS
+from flowsteer.errors import FlowSteerError, MetricUndefinedError, ShapeMismatchError
 from flowsteer.metrics import (
+    METRICS,
     FlowField,
     ToyFrameEmbedder,
     frame_consistency,
@@ -60,8 +62,9 @@ class TestMaskedPsnr:
     def test_full_mask_rejected(self):
         a = np.zeros(self.SHAPE)
         mask = EditMask(np.ones(self.SHAPE, dtype=np.uint8))
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(MetricUndefinedError) as info:
             masked_psnr(a, a, mask)
+        assert str(info.value) == "mask covers everything; no unedited region"
 
     def test_channel_leading_dims_broadcast(self):
         video = RngStream(4).normals(2 * 3 * 32).reshape(2, 3, 2, 4, 4)
@@ -176,6 +179,67 @@ class TestLocalStructure:
         mask = box_mask((2, 4, 4), (1, slice(0, 2), slice(0, 2)))
         sim = local_structure_similarity(video, video.copy(), mask, ToyFrameEmbedder())
         assert abs(sim - 1.0) < 1e-6
+
+
+class TestUndefined:
+    """Each metric raises its own reason, in the words a report records."""
+
+    FLAT = np.zeros((1, 4, 4))
+
+    @pytest.mark.parametrize(
+        "evaluate,reason",
+        [
+            (
+                lambda v: masked_psnr(v, v, EditMask(np.ones(v.shape, dtype=bool))),
+                "mask covers everything; no unedited region",
+            ),
+            (lambda v: frame_consistency(v, ToyFrameEmbedder()), "needs at least two frames"),
+            (
+                lambda v: warp_error(v, FlowField(np.zeros((0, 2, 4, 4), dtype=np.float32))),
+                "needs at least two frames",
+            ),
+            (
+                lambda v: local_structure_similarity(
+                    v, v, EditMask(np.zeros(v.shape, dtype=bool)), ToyFrameEmbedder()
+                ),
+                "mask is empty; no region to compare",
+            ),
+            (lambda v: warp_error(v, None), "no flow file configured"),
+            (
+                lambda v: warp_error(
+                    np.zeros((2, 4, 4)), FlowField(np.full((1, 2, 4, 4), 100.0, np.float32))
+                ),
+                "flow pushed every cell out of frame; nothing to compare",
+            ),
+        ],
+        ids=["full-mask", "one-frame", "one-frame-warp", "empty-mask", "no-flow", "all-out"],
+    )
+    def test_reason_is_the_message(self, evaluate, reason):
+        with pytest.raises(MetricUndefinedError) as info:
+            evaluate(self.FLAT)
+        assert str(info.value) == reason
+        assert isinstance(info.value, FlowSteerError) and isinstance(info.value, ValueError)
+
+    def test_the_table_names_the_known_metrics(self):
+        assert KNOWN_METRICS == tuple(METRICS)
+
+    def test_table_entries_evaluate_the_named_metric(self):
+        gen = np.random.default_rng(3)
+        src, out = gen.standard_normal((2, 3, 4, 4))
+        mask = box_mask((3, 4, 4), (slice(None), slice(1, 3), slice(1, 3)))
+        flow = FlowField(np.zeros((2, 2, 4, 4), dtype=np.float32))
+        emb = ToyFrameEmbedder(2)
+        values = {name: metric(src, out, mask, flow, 2.0, emb) for name, metric in METRICS.items()}
+        assert values == {
+            "masked_psnr": masked_psnr(out, src, mask, 2.0),
+            "warp_error": {
+                "value": warp_error(out, flow),
+                "compared_cells": 2 * 16,
+                "excluded_cells": 0,
+            },
+            "frame_consistency": frame_consistency(out, emb),
+            "local_structure": local_structure_similarity(src, out, mask, emb),
+        }
 
 
 class TestToyEmbedder:

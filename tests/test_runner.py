@@ -1,11 +1,13 @@
+import hashlib
 import json
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsteer import core, runner
+from flowsteer import core, metrics, runner
 from flowsteer.cli import main as cli_main
 from flowsteer.config import (
     build_backend,
@@ -18,7 +20,7 @@ from flowsteer.config import (
 )
 from flowsteer.core import read_fatn, read_pgm, write_fatn
 from flowsteer.engine import run_edit
-from flowsteer.errors import ConfigError
+from flowsteer.errors import ConfigError, MetricUndefinedError
 from flowsteer.runner import execute_run, quantize_contrast, run_batch
 
 NULL_EDIT = """
@@ -158,6 +160,65 @@ class TestRunBatch:
         doc = json.loads((outcome.out_dir / "report.json").read_text())
         assert doc["metrics"] == {"warp_error": {"error": "no flow file configured"}}
 
+    @pytest.mark.parametrize(
+        "old,new,metric,reason",
+        [
+            ("box:0:3,1:3,1:3", "ones", "masked_psnr", "mask covers everything; no unedited region"),
+            ("3,4,4\nmask = box:0:3", "1,4,4\nmask = box:0:1", "frame_consistency", "needs at least two frames"),
+            ("box:0:3,1:3,1:3", "zeros", "local_structure", "mask is empty; no region to compare"),
+        ],
+        ids=["full-mask", "one-frame", "empty-mask"],
+    )
+    def test_undefined_metric_reports_why(self, tmp_path, old, new, metric, reason):
+        text = SHIFT_EDIT.replace(old, new)
+        outcome = execute_run(spec_in(text + f"\n[metrics]\nenable = {metric}\n", tmp_path))
+        assert outcome.ok
+        raw = (outcome.out_dir / "report.json").read_text()
+        assert f'"{metric}": {{\n      "error": "{reason}"\n    }}' in raw
+        assert json.loads(raw)["metrics"] == {metric: {"error": reason}}
+
+    def test_metric_undefined_error_is_recorded_and_others_fail_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        def undefined(*args):
+            raise MetricUndefinedError("made up reason")
+
+        monkeypatch.setitem(metrics.METRICS, "masked_psnr", undefined)
+        outcome = execute_run(spec_in(SHIFT_EDIT, tmp_path))
+        doc = json.loads((outcome.out_dir / "report.json").read_text())
+        assert outcome.ok and doc["metrics"]["masked_psnr"] == {"error": "made up reason"}
+
+        def broken(*args):
+            raise ValueError("not a reason")
+
+        monkeypatch.setitem(metrics.METRICS, "masked_psnr", broken)
+        outcome = execute_run(spec_in(SHIFT_EDIT, tmp_path))
+        assert not outcome.ok and outcome.error == "ValueError: not a reason"
+        assert not (outcome.out_dir / "result.fatn").exists()
+
+    def test_flow_that_leaves_the_frame_is_a_metric_entry(self, tmp_path, capsys):
+        # every cell's source position lies 100 px away, so no cell can be compared
+        path = tmp_path / "flow.fatn"
+        write_fatn(path, np.full((4, 2, 8, 8), 100.0, np.float32))
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(
+            "[backend]\ntype = toy_attention\ntarget_tokens = 2,3\n"
+            f"[io]\nscenario = demo\nsource = gaussian:1,4,5,8,8\nmask = box:0:5,2:6,2:6\n"
+            f"out_dir = {tmp_path / 'out'}\nseed = 11\n"
+            f"[metrics]\nenable = masked_psnr,warp_error\nflow = {path}\n",
+            encoding="utf-8",
+        )
+        entry = {"error": "flow pushed every cell out of frame; nothing to compare"}
+        assert cli_main(["edit", str(cfg_path)]) == 0
+        assert "demo: ok" in capsys.readouterr().out
+        run = tmp_path / "out" / "demo"
+        assert (run / "result.fatn").exists()
+        doc = json.loads((run / "report.json").read_text())
+        assert doc["status"] == "ok" and doc["metrics"]["warp_error"] == entry
+        assert cli_main(["metrics", str(cfg_path)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) == doc["metrics"] and err == ""
+
     def test_warp_error_with_a_matching_flow(self, tmp_path, capsys):
         path = tmp_path / "flow.fatn"
         write_fatn(path, np.zeros((2, 2, 4, 4), np.float32))
@@ -223,7 +284,7 @@ class TestRunBatch:
         outcome = execute_run(spec)
         assert outcome.ok and list(outcome.out_dir.glob("contrast*")) == []
         assert sorted(p.name for p in outcome.out_dir.iterdir()) == [
-            "diagnostics.csv", "report.json", "result.fatn", "source.fatn"
+            "MANIFEST.sha256", "diagnostics.csv", "report.json", "result.fatn", "source.fatn"
         ]
 
     def test_diagnostics_csv_layout(self, tmp_path):
@@ -243,6 +304,124 @@ class TestRunBatch:
         a = read_fatn(o1.out_dir / "result.fatn")
         b = read_fatn(o2.out_dir / "result.fatn")
         assert not np.array_equal(a, b)
+
+
+def assert_manifest_verifies(run):
+    """MANIFEST.sha256 lists every other file of ``run`` in sha256sum format:
+    a hex digest, two spaces and the name, one line per file in name order."""
+    expected = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(run.iterdir())
+        if path.name != "MANIFEST.sha256"
+    )
+    assert (run / "MANIFEST.sha256").read_text(encoding="utf-8") == expected
+
+
+class TestRunDirectory:
+    """A run directory holds the files of exactly one run, with a manifest of
+    them, whatever an earlier run left there or how this one ends."""
+
+    @staticmethod
+    def snapshot(run):
+        return {p.name: p.read_bytes() for p in run.iterdir()}
+
+    def test_failed_rerun_leaves_only_its_own_files(self, tmp_path):
+        first = execute_run(spec_in(SHIFT_EDIT, tmp_path))
+        assert first.ok and (first.out_dir / "contrast.pgm").exists()
+        text = SHIFT_EDIT + f"\n[metrics]\nenable = warp_error\nflow = {tmp_path / 'no.fatn'}\n"
+        second = execute_run(spec_in(text, tmp_path))
+        assert not second.ok and "metrics.flow" in second.error
+        assert second.out_dir == first.out_dir == tmp_path / "out" / "shift"
+        assert sorted(p.name for p in second.out_dir.iterdir()) == [
+            "MANIFEST.sha256", "diagnostics.csv", "report.json"
+        ]
+        assert_manifest_verifies(second.out_dir)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["shift"]
+
+    @pytest.mark.parametrize("spec_text", [SHIFT_EDIT, NULL_EDIT], ids=["shift", "null"])
+    def test_manifest_lists_every_other_file(self, tmp_path, spec_text):
+        outcome = execute_run(spec_in(spec_text, tmp_path))
+        assert outcome.ok
+        assert_manifest_verifies(outcome.out_dir)
+
+    @pytest.mark.parametrize("crash_at", [1, 2])
+    def test_crash_while_writing_keeps_the_previous_directory(
+        self, tmp_path, monkeypatch, crash_at
+    ):
+        spec = spec_in(SHIFT_EDIT, tmp_path)
+        before = self.snapshot(execute_run(spec).out_dir)
+        calls = []
+
+        def crashing_save(latent, path):
+            calls.append(path)
+            if len(calls) == crash_at:
+                Path(path).write_bytes(b"FATN partial")
+                raise RuntimeError("interrupted")
+            core.save_tensor(latent, path)
+
+        monkeypatch.setattr(runner, "save_tensor", crashing_save)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            execute_run(with_seed(spec, 99))
+        run = tmp_path / "out" / "shift"
+        assert self.snapshot(run) == before
+        assert_manifest_verifies(run)
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["shift"]
+
+    def test_crash_on_a_first_run_leaves_no_directory(self, tmp_path, monkeypatch):
+        def crashing_save(latent, path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner, "save_tensor", crashing_save)
+        with pytest.raises(KeyboardInterrupt):
+            execute_run(spec_in(SHIFT_EDIT, tmp_path))
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_leftovers_of_an_interrupted_swap_are_swept(self, tmp_path):
+        # a process killed between the two renames leaves the old directory
+        # aside and a staged one, and no run directory
+        out = tmp_path / "out"
+        for leftover in (".shift.stage", ".shift.old"):
+            (out / leftover).mkdir(parents=True)
+            (out / leftover / "result.fatn").write_bytes(b"stale")
+        outcome = execute_run(spec_in(SHIFT_EDIT, tmp_path))
+        assert outcome.ok
+        assert [p.name for p in out.iterdir()] == ["shift"]
+        assert_manifest_verifies(outcome.out_dir)
+
+    def test_memory_error_is_reported(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("cannot hold the working set")
+
+        monkeypatch.setattr(runner, "run_edit", exhausted)
+        spec = spec_in(SHIFT_EDIT, tmp_path)
+        status, (outcome,) = run_batch([spec])
+        assert status == 1 and outcome.error == "MemoryError: cannot hold the working set"
+        doc = json.loads((outcome.out_dir / "report.json").read_text())
+        assert doc["status"] == "error" and doc["error"] == outcome.error
+        assert_manifest_verifies(outcome.out_dir)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(SHIFT_EDIT + f"\nout_dir = {tmp_path / 'cli'}\n", encoding="utf-8")
+        assert cli_main(["edit", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert "shift: FAILED (MemoryError: cannot hold the working set)" in out
+        assert "Traceback" not in out + err
+
+    def test_sweep_replaces_the_run_directory(self, tmp_path, capsys):
+        text = SHIFT_EDIT.replace("gaussian:1,2,3,4,4", "gaussian:1,2,F,4,4").replace(
+            "mask = box:0:3,1:3,1:3", "mask = ones"
+        )
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(text + f"\nout_dir = {tmp_path / 'sw'}\n", encoding="utf-8")
+        run = tmp_path / "sw" / "shift"
+        assert cli_main(["edit", str(cfg_path)]) == 1  # the recipe's F is not a number
+        assert cli_main(["sweep", str(cfg_path), "--frames", "1,3"]) == 0
+        assert sorted(p.name for p in run.iterdir()) == ["MANIFEST.sha256", "sweep.csv"]
+        assert_manifest_verifies(run)
+        before = self.snapshot(run)
+        assert cli_main(["sweep", str(cfg_path), "--frames", "3,x"]) == 2
+        assert cli_main(["sweep", str(cfg_path).replace("sweep.cfg", "none.cfg"), "--frames", "3"]) == 2
+        assert self.snapshot(run) == before
+        assert [p.name for p in (tmp_path / "sw").iterdir()] == ["shift"]
 
 
 class TestWorkers:
@@ -343,7 +522,7 @@ class TestCli:
         assert err.startswith("error: ") and "requested 5" in err
         assert not (tmp_path / "sw" / "shift" / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("scenario", ["../escaped", ".", "a/b", "ABS"])
+    @pytest.mark.parametrize("scenario", ["../escaped", ".", "a/b", "ABS", ".shift.stage"])
     @pytest.mark.parametrize("command", [["edit"], ["sweep", "--frames", "3"]], ids=lambda a: a[0])
     def test_scenario_outside_its_run_directory_writes_nothing(
         self, tmp_path, capsys, scenario, command
