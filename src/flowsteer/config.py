@@ -5,7 +5,12 @@ lines open one of the six known sections (backend, grid, sar, amm, io,
 metrics); every other line is ``key = value``. Unknown sections or keys,
 type mismatches, non-finite numbers and out-of-range values are rejected
 with the offending ``section.key`` path. An empty file parses to the full
-default configuration; ``SCHEMA`` below declares every key.
+default configuration.
+
+Each section is a dataclass field of ``RunSpec`` whose fields are its keys,
+each holding the key's default and converted by its annotation. Its
+``__post_init__`` checks the keys' ranges, so a spec built by ``replace`` is
+checked too. Field order fixes the key order of emitted text and report.json.
 
 ``io.source`` is either a FATN latent path or a synthesis recipe
 ``gaussian:B,C,F,H,W`` drawn from substream 0 of the run seed.
@@ -18,8 +23,7 @@ letter ``F``, which ``with_frames`` substitutes per sweep point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from itertools import groupby
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,8 +39,6 @@ from .engine import EditConfig
 from .errors import ConfigError
 from .metrics import METRICS, FlowField
 from .sar import SarConfig, TargetTokenSet
-
-SECTIONS = ("backend", "grid", "sar", "amm", "io", "metrics")
 
 KNOWN_METRICS = tuple(METRICS)
 
@@ -57,9 +59,47 @@ class BackendSpec:
     model_seed: int = 7
     target_tokens: tuple[int, ...] = (0,)
 
+    def __post_init__(self):
+        if self.type not in ("gaussian", "toy_attention"):
+            raise ConfigError("backend.type", f"unknown backend {self.type!r}")
+        if not self.scale > 0:
+            raise ConfigError("backend.scale", f"must be > 0, got {self.scale}")
+        if not self.tokens >= 1:
+            raise ConfigError("backend.tokens", f"must be >= 1, got {self.tokens}")
+        if not self.query_dim >= 1:
+            raise ConfigError("backend.query_dim", f"must be >= 1, got {self.query_dim}")
+        if not self.temperature > 0:
+            raise ConfigError("backend.temperature", f"must be > 0, got {self.temperature}")
+        if not self.target_tokens:
+            raise ConfigError("backend.target_tokens", "must name at least one token")
+        if not all(0 <= i < self.tokens for i in self.target_tokens):
+            problem = f"indices must lie in [0, {self.tokens}), got {self.target_tokens}"
+            raise ConfigError("backend.target_tokens", problem)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    steps: int = 25
+    skip: int = 2
+    n_avg: int = 1
+
+    def __post_init__(self):
+        # up to 2**52 steps, neighbouring times i / steps lie at least 2**-52 apart, twice
+        # the widest gap between floats below 1, so every time is a distinct float
+        if not 1 <= self.steps <= 2**52:
+            raise ConfigError("grid.steps", f"must lie in [1, 2**52], got {self.steps}")
+        if not 0 <= self.skip < self.steps:
+            raise ConfigError("grid.skip", f"must satisfy 0 <= skip < steps, got {self.skip}")
+        if not self.n_avg >= 1:
+            raise ConfigError("grid.n_avg", f"must be >= 1, got {self.n_avg}")
+
 
 @dataclass(frozen=True)
 class IoSpec:
+    """The scenario is one plain path component, so that no run writes outside
+    ``out_dir`` or into another run's directory, and starts with no dot, which
+    marks the staging directories of runs. No path holds a NUL byte."""
+
     scenario: str = "run"
     source: str = "gaussian:1,4,5,8,8"
     mask: str = "ones"
@@ -67,6 +107,14 @@ class IoSpec:
     seed: int = 0
     baseline_blend: bool = False
     save_contrast_maps: bool = False
+
+    def __post_init__(self):
+        scenario = self.scenario
+        if Path(scenario).name != scenario or scenario[:1] in ("", ".") or "\0" in scenario:
+            problem = f"must be a plain name, not a path or a dot name, got {scenario!r}"
+            raise ConfigError("io.scenario", problem)
+        if "\0" in self.out_dir:
+            raise ConfigError("io.out_dir", f"must not hold a NUL byte, got {self.out_dir!r}")
 
 
 @dataclass(frozen=True)
@@ -77,13 +125,20 @@ class MetricsSpec:
     embed_grid: int = 8
     edited: str = ""
 
+    def __post_init__(self):
+        unknown = [name for name in self.enable if name not in KNOWN_METRICS]
+        if unknown:
+            raise ConfigError("metrics.enable", f"unknown metric {unknown[0]!r}")
+        if not self.peak > 0:
+            raise ConfigError("metrics.peak", f"must be > 0, got {self.peak}")
+        if not self.embed_grid >= 1:
+            raise ConfigError("metrics.embed_grid", f"must be >= 1, got {self.embed_grid}")
+
 
 @dataclass(frozen=True)
 class RunSpec:
     backend: BackendSpec = field(default_factory=BackendSpec)
-    steps: int = 25
-    skip: int = 2
-    n_avg: int = 1
+    grid: GridSpec = field(default_factory=GridSpec)
     sar: SarConfig = field(default_factory=SarConfig)
     amm: AmmConfig = field(default_factory=AmmConfig)
     io: IoSpec = field(default_factory=IoSpec)
@@ -153,100 +208,42 @@ def _as_layers(path: str, raw: str) -> Optional[frozenset[int]]:
     return None if raw.lower() == "all" else frozenset(_as_int_list(path, raw))
 
 
-def _at_least(bound: int):
-    return lambda value, _: None if value >= bound else f"must be >= {bound}, got {value}"
-
-
-def _positive(value, _) -> Optional[str]:
-    return None if value > 0 else f"must be > 0, got {value}"
-
-
-def _one_of(choices: tuple[str, ...], what: str):
-    def check(value, _) -> Optional[str]:
-        unknown = [v for v in ((value,) if isinstance(value, str) else value) if v not in choices]
-        return f"unknown {what} {unknown[0]!r}" if unknown else None
-
-    return check
-
-
-def _steps(value, _) -> Optional[str]:
-    # up to 2**52 steps, neighbouring times i / steps lie at least 2**-52 apart, twice
-    # the widest gap between floats below 1, so every time is a distinct float
-    return None if 1 <= value <= 2**52 else f"must lie in [1, 2**52], got {value}"
-
-
-def _skip(value, grid) -> Optional[str]:
-    return None if 0 <= value < grid["steps"] else f"must satisfy 0 <= skip < steps, got {value}"
-
-
-def _target_tokens(value, backend) -> Optional[str]:
-    if not value:
-        return "must name at least one token"
-    inside = all(0 <= i < backend["tokens"] for i in value)
-    return None if inside else f"indices must lie in [0, {backend['tokens']}), got {value}"
-
-
-def _layers(value, _) -> Optional[str]:
-    return f"indices must be >= 0, got {min(value)}" if value and min(value) < 0 else None
-
-
-# One row per key: (section, key, attribute, converter, check). A check gets the value
-# and the section's values so far (defaults included) and returns an error message or
-# None. Defaults live on the dataclasses; SarConfig and AmmConfig hold the sar/amm bounds.
-SCHEMA = (
-    ("backend", "type", "type", _as_text, _one_of(("gaussian", "toy_attention"), "backend")),
-    ("backend", "source_mean", "source_mean", _list_of(_as_float), None),
-    ("backend", "target_mean", "target_mean", _list_of(_as_float), None),
-    ("backend", "scale", "scale", _as_float, _positive),
-    ("backend", "tokens", "tokens", _as_int, _at_least(1)),
-    ("backend", "query_dim", "query_dim", _as_int, _at_least(1)),
-    ("backend", "temperature", "temperature", _as_float, _positive),
-    ("backend", "model_seed", "model_seed", _as_int, None),
-    ("backend", "target_tokens", "target_tokens", _as_int_list, _target_tokens),
-    ("grid", "steps", "steps", _as_int, _steps),
-    ("grid", "skip", "skip", _as_int, _skip),
-    ("grid", "n_avg", "n_avg", _as_int, _at_least(1)),
-    ("sar", "beta1", "beta1", _as_float, None),
-    ("sar", "beta2", "beta2", _as_float, None),
-    ("sar", "tau_fraction", "tau_fraction", _as_float, None),
-    ("sar", "layers", "layer_set", _as_layers, _layers),
-    ("amm", "gamma", "gamma", _as_float, None),
-    ("amm", "f0", "f0", _as_int, None),
-    ("amm", "epsilon", "epsilon", _as_float, None),
-    ("io", "scenario", "scenario", _as_text, None),
-    ("io", "source", "source", _as_text, None),
-    ("io", "mask", "mask", _as_text, None),
-    ("io", "out_dir", "out_dir", _as_text, None),
-    ("io", "seed", "seed", _as_int, None),
-    ("io", "baseline_blend", "baseline_blend", _as_bool, None),
-    ("io", "save_contrast_maps", "save_contrast_maps", _as_bool, None),
-    ("metrics", "enable", "enable", _list_of(_as_text), _one_of(KNOWN_METRICS, "metric")),
-    ("metrics", "flow", "flow", _as_text, None),
-    ("metrics", "peak", "peak", _as_float, _positive),
-    ("metrics", "embed_grid", "embed_grid", _as_int, _at_least(1)),
-    ("metrics", "edited", "edited", _as_text, None),
-)
-_DEFAULTS = RunSpec()
+# The converter of each field annotation in use; a field annotated otherwise fails at import.
+_CONVERTERS = {
+    "str": _as_text,
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "tuple[int, ...]": _as_int_list,
+    "tuple[float, ...]": _list_of(_as_float),
+    "tuple[str, ...]": _list_of(_as_text),
+    "Optional[FrozenSet[int]]": _as_layers,
+}
+# Each RunSpec field is a section and each field of its dataclass a key, converted by the
+# converter of the field's annotation; the dataclass checks the section's values.
+_KINDS = {part.name: part.default_factory for part in fields(RunSpec)}
+_ROWS = {
+    section: [(f.name, _CONVERTERS[f.type]) for f in fields(kind)]
+    for section, kind in _KINDS.items()
+}
+SECTIONS = tuple(_KINDS)
+SCHEMA = tuple((section, key, convert) for section, rows in _ROWS.items() for key, convert in rows)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunSpec:
     table = _parse_lines(text, origin)
-    fields: dict[str, object] = {}
-    for section, rows in groupby(SCHEMA, key=lambda row: row[0]):
+    parts: dict[str, object] = {}
+    for section, rows in _ROWS.items():
         entries = table[section]
-        part = _DEFAULTS if section == "grid" else getattr(_DEFAULTS, section)
         values: dict[str, object] = {}
-        for _, key, attr, convert, check in rows:
+        for key, convert in rows:
             raw = entries.pop(key, None)
-            keep = raw is None or (convert is _as_text and not raw)  # empty text: the default
-            value = getattr(part, attr) if keep else convert(f"{section}.{key}", raw)
-            if check is not None and (problem := check(value, values)) is not None:
-                raise ConfigError(f"{section}.{key}", problem)
-            values[attr] = value
-        fields.update(values if section == "grid" else {section: type(part)(**values)})
+            if raw is not None and (raw or convert is not _as_text):  # empty text: the default
+                values[key] = convert(f"{section}.{key}", raw)
+        parts[section] = _KINDS[section](**values)
         for key in entries:
             raise ConfigError(f"{section}.{key}", "unknown key")
-    return RunSpec(**fields)
+    return RunSpec(**parts)
 
 
 def parse_config(path: str | Path) -> RunSpec:
@@ -271,10 +268,10 @@ def _fmt(value) -> str:
 def config_echo(spec: RunSpec) -> dict[str, str]:
     """Flat section.key -> value mapping for report embedding."""
     echo: dict[str, str] = {}
-    for section, key, attr, _, _ in SCHEMA:
-        part = spec if section == "grid" else getattr(spec, section)
-        value = getattr(part, attr)
-        if value != "" or getattr(type(part), attr) != "":  # unset optional paths are left out
+    for section, key, _ in SCHEMA:
+        part = getattr(spec, section)
+        value = getattr(part, key)
+        if value != "" or getattr(type(part), key) != "":  # unset optional paths are left out
             echo[f"{section}.{key}"] = _fmt(value)
     return echo
 
@@ -320,10 +317,10 @@ def resolve_source(spec: RunSpec) -> VideoLatent:
             source = load_tensor(recipe)
         except (OSError, ValueError) as exc:
             raise ConfigError("io.source", _read_problem(exc)) from None
-    if (spec.n_avg + 3) * source.data.size > WORKING_SET_BUDGET:
+    if (spec.grid.n_avg + 3) * source.data.size > WORKING_SET_BUDGET:
         raise ConfigError(
             "grid.n_avg",
-            f"{spec.n_avg} draws of {source.data.size} values need a working set of "
+            f"{spec.grid.n_avg} draws of {source.data.size} values need a working set of "
             f"more than {WORKING_SET_BUDGET} values",
         )
     return source
@@ -422,13 +419,13 @@ def build_backend(spec: RunSpec, latent: VideoLatent) -> BackendRegistry:
 
 def build_edit_config(spec: RunSpec, mask: EditMask) -> EditConfig:
     return EditConfig(
-        grid=TimeGrid(spec.steps, spec.skip),
+        grid=TimeGrid(spec.grid.steps, spec.grid.skip),
         sar=spec.sar,
         amm=spec.amm,
         mask=mask,
         j_tar=TargetTokenSet(frozenset(spec.backend.target_tokens)),
         seed=spec.io.seed,
-        n_avg=spec.n_avg,
+        n_avg=spec.grid.n_avg,
         baseline_blend=spec.io.baseline_blend,
         record_contrast=spec.io.save_contrast_maps,
     )
@@ -455,15 +452,6 @@ def with_frames(spec: RunSpec, frames: int) -> RunSpec:
 
 
 def run_dir(spec: RunSpec) -> Path:
-    """The directory a run writes its artifacts into: ``out_dir/<scenario>``.
-
-    The scenario must be one plain path component, so that no run writes
-    outside ``out_dir`` or inside another run's directory, and must not start
-    with a dot, which marks the staging directories of runs.
-    """
-    scenario = spec.io.scenario
-    if Path(scenario).name != scenario or scenario[:1] in ("", "."):
-        raise ConfigError(
-            "io.scenario", f"must be a plain name, not a path or a dot name, got {scenario!r}"
-        )
-    return Path(spec.io.out_dir) / scenario
+    """The directory a run writes its artifacts into: ``out_dir/<scenario>``,
+    where ``IoSpec`` makes the scenario one plain name."""
+    return Path(spec.io.out_dir) / spec.io.scenario

@@ -74,14 +74,14 @@ class TargetTokenSet:
 class SarConfig:
     """Strengths and gating for the attention refinement.
 
-    ``layer_set`` is None for "all layers" or a frozenset of layer indices.
+    ``layers`` is None for "all layers" or a frozenset of layer indices >= 0.
     Refinement is active while t >= tau_fraction; every grid starts at t = 1.
     """
 
     beta1: float = 0.3
     beta2: float = 0.3
     tau_fraction: float = 0.6
-    layer_set: Optional[FrozenSet[int]] = None
+    layers: Optional[FrozenSet[int]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 <= 1.0:
@@ -90,9 +90,11 @@ class SarConfig:
             raise ConfigError("sar.beta2", f"must be in [0, 1], got {self.beta2}")
         if not 0.0 < self.tau_fraction <= 1.0:
             raise ConfigError("sar.tau_fraction", f"must be in (0, 1], got {self.tau_fraction}")
+        if self.layers and min(self.layers) < 0:
+            raise ConfigError("sar.layers", f"indices must be >= 0, got {min(self.layers)}")
 
     def applies_to_layer(self, layer: int) -> bool:
-        return self.layer_set is None or layer in self.layer_set
+        return self.layers is None or layer in self.layers
 
 
 def _convex_step(sub: np.ndarray, pulled: np.ndarray, beta: float) -> np.ndarray:

@@ -1,9 +1,14 @@
+import ast
+import inspect
+import textwrap
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from flowsteer import RngStream, VideoLatent
+from flowsteer.config import RunSpec
 
 # Hypothesis imports its patch writer (and through it libcst and mypy_extensions)
 # only when a @given test fails; under filterwarnings = error the DeprecationWarning
@@ -99,3 +104,21 @@ def special_logits(voxels: int, tokens: int, kind: str, seed: int = 0) -> np.nda
     for k, row in enumerate(range(0, voxels, 3)):
         logits[row] = patterns[k % len(patterns)](tokens, gen)
     return logits
+
+
+@pytest.fixture(scope="session")
+def section_raises():
+    """Per config section, its dataclass and the first argument of every
+    ``raise ConfigError(...)`` in that dataclass's ``__post_init__``: the key
+    text, or None where it is not a string literal."""
+    raises = {}
+    for part in fields(RunSpec):
+        kind = part.default_factory
+        tree = ast.parse(textwrap.dedent(inspect.getsource(kind.__post_init__)))
+        raises[part.name] = (kind, [
+            node.exc.args[0].value if isinstance(node.exc.args[0], ast.Constant) else None
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and getattr(node.exc, "func", None) is not None
+            and getattr(node.exc.func, "id", None) == "ConfigError"
+        ])
+    return raises

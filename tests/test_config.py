@@ -42,7 +42,7 @@ def one_key(key: str, raw: str) -> str:
 class TestDefaults:
     def test_empty_config_gives_documented_defaults(self):
         spec = parse_config_text("")
-        assert spec.steps == 25 and spec.skip == 2 and spec.n_avg == 1
+        assert spec.grid.steps == 25 and spec.grid.skip == 2 and spec.grid.n_avg == 1
         assert spec.sar.beta1 == 0.3 and spec.sar.beta2 == 0.3
         assert spec.sar.tau_fraction == 0.6
         assert spec.amm.gamma == 1.0 and spec.amm.f0 == 21 and spec.amm.epsilon == 1e-7
@@ -53,7 +53,7 @@ class TestDefaults:
 
     def test_comments_and_blanks_ignored(self):
         text = "# top comment\n\n[grid]\n# inner\nsteps = 10\n"
-        assert parse_config_text(text).steps == 10
+        assert parse_config_text(text).grid.steps == 10
 
 
 class TestValidation:
@@ -90,8 +90,9 @@ class TestValidation:
             parse_config_text("[metrics]\nenable = vibes\n")
 
     def test_target_tokens_range(self):
-        with pytest.raises(ConfigError, match="backend.target_tokens"):
+        with pytest.raises(ConfigError) as info:
             parse_config_text("[backend]\ntokens = 3\ntarget_tokens = 5\n")
+        assert str(info.value) == "backend.target_tokens: indices must lie in [0, 3), got (5,)"
 
     def test_unknown_backend_type(self):
         with pytest.raises(ConfigError, match="backend.type"):
@@ -289,7 +290,7 @@ class TestRunSizeBounds:
     anything is allocated."""
 
     def test_steps_bounded_where_grid_times_stay_distinct(self):
-        assert parse_config_text(one_key("grid.steps", str(2**52))).steps == 2**52
+        assert parse_config_text(one_key("grid.steps", str(2**52))).grid.steps == 2**52
         for raw in (str(2**52 + 1), "99999999999999999999"):
             with pytest.raises(ConfigError, match=r"must lie in \[1, 2\*\*52\]") as info:
                 parse_config_text(one_key("grid.steps", raw))
@@ -405,7 +406,8 @@ class TestRunDir:
 
     # a leading dot is kept for the staging directories of runs
     @pytest.mark.parametrize(
-        "scenario", ["../x", ".", "..", "a/b", "/abs", "", ".hidden", ".run.stage", ".run.old"]
+        "scenario",
+        ["../x", ".", "..", "a/b", "/abs", "", ".hidden", ".run.stage", ".run.old", "a\x00b"],
     )
     def test_scenario_must_be_one_plain_name(self, scenario):
         spec = RunSpec()
@@ -413,10 +415,15 @@ class TestRunDir:
             run_dir(replace(spec, io=replace(spec.io, scenario=scenario)))
         assert info.value.key_path == "io.scenario"
 
+    def test_out_dir_must_hold_no_nul_byte(self):
+        # a NUL byte ended run_batch's resolve() or staged()'s mkdir in a ValueError
+        with pytest.raises(ConfigError) as info:
+            run_dir(with_out_dir(RunSpec(), "runs/a\x00b"))
+        assert info.value.key_path == "io.out_dir"
 
-def default_of(section: str, attr: str):
-    spec = RunSpec()
-    return getattr(spec if section == "grid" else getattr(spec, section), attr)
+
+def default_of(section: str, key: str):
+    return getattr(getattr(RunSpec(), section), key)
 
 
 FLOAT_KEYS = (
@@ -447,44 +454,50 @@ class TestNonFinite:
             items = value if isinstance(value, tuple) else (value,)
             return bool(items) and all(isinstance(v, float) for v in items)
 
-        rows = {f"{s}.{k}" for s, k, attr, _, _ in SCHEMA if is_float(default_of(s, attr))}
+        rows = {f"{s}.{k}" for s, k, _ in SCHEMA if is_float(default_of(s, k))}
         assert rows == set(FLOAT_KEYS)
 
 
+# key: (value, message). The messages are those the schema's check helpers, the
+# stabilizer configs and run_dir gave before the section dataclasses took over every
+# bound; io.out_dir's NUL check is new.
 OUT_OF_RANGE = {
-    "backend.type": "oracle",
-    "backend.scale": "0",
-    "backend.tokens": "0",
-    "backend.query_dim": "0",
-    "backend.temperature": "-1",
-    "backend.target_tokens": "",
-    "grid.steps": "0",
-    "grid.skip": "-1",
-    "grid.n_avg": "0",
-    "sar.beta1": "1.5",
-    "sar.beta2": "-0.1",
-    "sar.tau_fraction": "0",
-    "sar.layers": "0,-1",
-    "amm.gamma": "-0.5",
-    "amm.f0": "1",
-    "amm.epsilon": "0",
-    "metrics.enable": "masked_psnr,vibes",
-    "metrics.peak": "0",
-    "metrics.embed_grid": "0",
+    "backend.type": ("oracle", "unknown backend 'oracle'"),
+    "backend.scale": ("0", "must be > 0, got 0.0"),
+    "backend.tokens": ("0", "must be >= 1, got 0"),
+    "backend.query_dim": ("0", "must be >= 1, got 0"),
+    "backend.temperature": ("-1", "must be > 0, got -1.0"),
+    "backend.target_tokens": ("", "must name at least one token"),
+    "grid.steps": ("0", "must lie in [1, 2**52], got 0"),
+    "grid.skip": ("-1", "must satisfy 0 <= skip < steps, got -1"),
+    "grid.n_avg": ("0", "must be >= 1, got 0"),
+    "sar.beta1": ("1.5", "must be in [0, 1], got 1.5"),
+    "sar.beta2": ("-0.1", "must be in [0, 1], got -0.1"),
+    "sar.tau_fraction": ("0", "must be in (0, 1], got 0.0"),
+    "sar.layers": ("0,-1", "indices must be >= 0, got -1"),
+    "amm.gamma": ("-0.5", "must be >= 0, got -0.5"),
+    "amm.f0": ("1", "must be >= 2, got 1"),
+    "amm.epsilon": ("0", "must be > 0, got 0.0"),
+    "io.scenario": ("a/b", "must be a plain name, not a path or a dot name, got 'a/b'"),
+    "io.out_dir": ("a\x00b", "must not hold a NUL byte, got 'a\\x00b'"),
+    "metrics.enable": ("masked_psnr,vibes", "unknown metric 'vibes'"),
+    "metrics.peak": ("0", "must be > 0, got 0.0"),
+    "metrics.embed_grid": ("0", "must be >= 1, got 0"),
 }
 
 
 class TestRangeChecks:
     @pytest.mark.parametrize("key", list(OUT_OF_RANGE))
     def test_out_of_range_value_names_its_key(self, key):
+        raw, message = OUT_OF_RANGE[key]
         with pytest.raises(ConfigError) as info:
-            parse_config_text(one_key(key, OUT_OF_RANGE[key]))
+            parse_config_text(one_key(key, raw))
         assert info.value.key_path == key
+        assert str(info.value) == f"{key}: {message}"
 
-    def test_every_bounded_key_has_a_case(self):
-        checked = {f"{s}.{k}" for s, k, _, _, check in SCHEMA if check is not None}
-        stabilizers = {key for key in SCHEMA_KEYS if key.startswith(("sar.", "amm."))}
-        assert checked | stabilizers == set(OUT_OF_RANGE)
+    def test_every_bounded_key_has_a_case(self, section_raises):
+        checked = {key for _, keys in section_raises.values() for key in keys}
+        assert checked == set(OUT_OF_RANGE)
 
 
 TEXT = (
@@ -518,7 +531,7 @@ ROW_STRATEGIES = {
     "amm.gamma": st.floats(min_value=0.0, allow_infinity=False),
     "amm.f0": st.integers(min_value=2),
     "amm.epsilon": POSITIVE,
-    "io.scenario": TEXT,
+    "io.scenario": TEXT.filter(lambda name: Path(name).name == name and name[0] != "."),
     "io.source": TEXT,
     "io.mask": TEXT,
     "io.out_dir": TEXT,
@@ -542,7 +555,7 @@ HOSTILE = (
     "gaussian:", "gaussian:1,4,5,8", "gaussian:0,4,5,8,8", "gaussian:-1,4,5,8,8",
     "gaussian:99999999999999999999,1,1,1,1", "gaussian:1,4,F,8,8",
     "box:", "box:0:5", "box:5:0,2:6,2:6", "box:0:99999999999999999999,2:6,2:6",
-    "box:-1:5,2:6,2:6", "box:a:b,c:d,e:f",
+    "box:-1:5,2:6,2:6", "box:a:b,c:d,e:f", "a\x00b",
 )
 HOSTILE_TEXT = (
     st.integers(-(2**80), 2**80).map(str)
@@ -620,17 +633,14 @@ class TestHostileValues:
 
 @st.composite
 def run_specs(draw):
-    spec = RunSpec()
+    parts = {}
     for section, rows in groupby(SCHEMA, key=lambda row: row[0]):
         values = {}
-        for _, key, attr, _, _ in rows:
+        for _, key, _ in rows:
             strategy = ROW_STRATEGIES[f"{section}.{key}"]
-            values[attr] = draw(strategy(values) if callable(strategy) else strategy)
-        if section == "grid":
-            spec = replace(spec, **values)
-        else:
-            spec = replace(spec, **{section: replace(getattr(spec, section), **values)})
-    return spec
+            values[key] = draw(strategy(values) if callable(strategy) else strategy)
+        parts[section] = type(getattr(RunSpec(), section))(**values)
+    return RunSpec(**parts)
 
 
 DEFAULT_TEXT = """[backend]

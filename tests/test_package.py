@@ -66,3 +66,36 @@ def test_every_config_error_names_a_schema_key():
                 if "." not in prefix or prefix.partition(".")[0] not in SECTIONS:
                     found.append(f"{where}: {prefix}...")
     assert checked and found == []
+
+
+def test_each_section_class_raises_only_its_own_keys(section_raises):
+    # a bound checked in another section's class, or under a computed key, has no
+    # single owner that a reader or the range-check tests can find
+    stray = [
+        f"{kind.__name__}: {key}"
+        for section, (kind, keys) in section_raises.items()
+        for key in keys
+        if key is None or key.partition(".")[0] != section
+    ]
+    assert all(keys for _, keys in section_raises.values()) and stray == []
+
+
+def test_no_key_is_range_checked_by_two_classes():
+    # a second class checking a section's key in its __post_init__ is a second
+    # bound that can drift from the section's own
+    package = Path(flowsteer.__file__).parent
+    owners = {}
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if getattr(method, "name", None) != "__post_init__":
+                    continue
+                for node in ast.walk(method):
+                    call = getattr(node, "exc", None)
+                    if getattr(getattr(call, "func", None), "id", None) == "ConfigError":
+                        key = ast.unparse(call.args[0])
+                        owners.setdefault(key, set()).add(f"{path.name}:{cls.name}")
+    assert len(owners) >= 20
+    assert {key: names for key, names in owners.items() if len(names) > 1} == {}

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -554,3 +559,92 @@ class TestCli:
     def test_selftest_runs_one_criterion(self, capsys):
         assert cli_main(["selftest", "--criterion", "4"]) == 0
         assert capsys.readouterr().out.startswith("criterion 04 ")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HUGE = "99999999999999999999"
+CAPPED_EDIT = """
+[backend]
+type = toy_attention
+
+[grid]
+steps = 8
+skip = 1
+
+[io]
+scenario = capped
+source = gaussian:1,2,3,4,4
+mask = box:0:3,1:3,1:3
+out_dir = out
+"""
+
+
+def capped_config(tmp_path, key, raw):
+    """CAPPED_EDIT with ``key`` set to ``raw``, written to ``tmp_path``."""
+    section, _, name = key.partition(".")
+    line = f"{name} = {raw}"
+    if re.search(rf"^{name} = ", CAPPED_EDIT, re.M):
+        text = re.sub(rf"^{name} = .*$", lambda _: line, CAPPED_EDIT, flags=re.M)
+    else:
+        text = CAPPED_EDIT + f"[{section}]\n{line}\n"
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def capped_cli(cwd, *argv):
+    """``python -m flowsteer.cli *argv`` in ``cwd``, in a child process whose
+    address space is capped at 2 GiB, so that a value asking for unbounded
+    memory fails in the child instead of taking the machine's."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    return subprocess.run(
+        [sys.executable, "-m", "flowsteer.cli", *map(str, argv)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=cap,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestCappedCli:
+    """Hostile values through the command line: each fails by its key, never by
+    a traceback. Values that are valid but huge, such as grid.steps = 65536, are
+    left out: they run for minutes rather than fail."""
+
+    @pytest.mark.parametrize(
+        "key,raw,status",
+        [
+            ("grid.n_avg", HUGE, 1),
+            ("backend.tokens", HUGE, 1),
+            ("io.source", f"gaussian:{HUGE},1,1,1,1", 1),
+            ("grid.steps", HUGE, 2),
+        ],
+    )
+    def test_edit_then_metrics_name_the_key(self, tmp_path, key, raw, status):
+        path = capped_config(tmp_path, key, raw)
+        edit = capped_cli(tmp_path, "edit", path)
+        assert edit.returncode == status and "Traceback" not in edit.stderr, edit.stderr
+        if status == 1:
+            assert f"capped: FAILED (ConfigError: {key}: " in edit.stdout
+        else:
+            assert edit.stderr.startswith(f"error: {key}: ")
+        # a run that failed left no artifacts to score
+        metrics = capped_cli(tmp_path, "metrics", path)
+        assert metrics.returncode == 2 and "Traceback" not in metrics.stderr, metrics.stderr
+        expected = f"error: {key}: " if status == 2 else "error: missing artifacts under "
+        assert metrics.stderr.startswith(expected)
+
+    @pytest.mark.parametrize("key", ["io.scenario", "io.out_dir"])
+    @pytest.mark.parametrize("command", [["edit"], ["sweep", "--frames", "3"]], ids=lambda a: a[0])
+    def test_nul_byte_in_a_path_names_its_key(self, tmp_path, key, command):
+        # a NUL byte ended in "ValueError: embedded null byte" and a traceback
+        path = capped_config(tmp_path, key, "a\x00b")
+        proc = capped_cli(tmp_path, command[0], path, *command[1:])
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"error: {key}: ")
+        assert list(tmp_path.iterdir()) == [path]

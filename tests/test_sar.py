@@ -253,7 +253,7 @@ class TestApplySar:
 
     def test_layer_gating(self):
         logits, mask, j_tar = random_case(RngStream(8), 6, 3)
-        cfg = SarConfig(layer_set=frozenset({2}))
+        cfg = SarConfig(layers=frozenset({2}))
         out = apply_sar(logits, mask, j_tar, cfg, t=0.9, layer=0)
         assert out is logits
         out2 = apply_sar(logits, mask, j_tar, cfg, t=0.9, layer=2)
