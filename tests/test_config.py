@@ -458,9 +458,8 @@ class TestNonFinite:
         assert rows == set(FLOAT_KEYS)
 
 
-# key: (value, message). The messages are those the schema's check helpers, the
-# stabilizer configs and run_dir gave before the section dataclasses took over every
-# bound; io.out_dir's NUL check is new.
+# key: (value, message). Each message is pinned byte for byte: it is what a user
+# reads, whichever class holds the bound.
 OUT_OF_RANGE = {
     "backend.type": ("oracle", "unknown backend 'oracle'"),
     "backend.scale": ("0", "must be > 0, got 0.0"),
