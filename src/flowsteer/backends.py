@@ -25,10 +25,13 @@ calling thread. Above it OpenBLAS hands the product to its own worker
 threads, which spin between calls: a toy edit then burned about twice its
 wall time in CPU, and the CPU that the editing loop gives to the next
 step's noise draw (see ``engine``) was taken. A gemm's columns are
-independent, so a block gives the same bits as the whole product. Products
-with M = 1 or K = 1 stay whole: numpy sends those to gemv, whose sums a
-block would reorder. No BLAS setting is touched, so other users of BLAS in
-the process see no change.
+independent, so with OpenBLAS's SkylakeX (AVX-512) kernel a block gives the
+same bits as the whole product. That is the kernel's property, not a
+promise: under its Haswell kernel (``OPENBLAS_CORETYPE=Haswell``) the blocks
+of a (4, 16) by (16, N) product differed from the whole product at
+N = 65536 and N = 100003. Products with M = 1 or K = 1 stay whole: numpy
+sends those to gemv, whose sums a block would reorder. No BLAS setting is
+touched, so other users of BLAS in the process see no change.
 
 An edit evaluates exactly two conditions, so ``BackendRegistry`` holds the
 source/target pair and a ``VelocityQuery`` names its role, ``"source"`` or
@@ -247,7 +250,11 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` for 2-d operands, in near-equal column blocks
     of ``b`` and ``out`` with M*K*width <= ``_SERIAL_GEMM``. Products with M = 1
     or K = 1 run whole, as do those with M*K > ``_SERIAL_GEMM`` / 4, whose
-    blocks could come out one column wide: numpy would send those to gemv."""
+    blocks could come out one column wide: numpy would send those to gemv.
+
+    The blocks give the whole product's bits only where the BLAS kernel sums
+    each column alike at every width. OpenBLAS's SkylakeX kernel does; its
+    Haswell kernel did not for (M, K) = (4, 16) at N = 65536 or 100003."""
     m, k = a.shape
     n = b.shape[1]
     width = _SERIAL_GEMM // (m * k)

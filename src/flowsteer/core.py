@@ -46,14 +46,17 @@ Conventions fixed here and relied on by every other module:
   computed in fixed chunks of counter positions, filled by the thread that
   joins it and by helpers on ``POOL``, one persistent pool of one thread
   per further usable CPU. The draw alone decides its helpers: one that
-  fills at least one whole fill block gets one per chunk, up to one per
-  further usable CPU; a smaller one gets none and runs on the joining
-  thread. A draw may be started ahead (``RngStream.start_normals``): its
-  helpers begin at once, and the ``normals`` call that joins it fills
-  whatever chunks are left, so the editing loop draws each next step's
-  noise while a step computes (see ``engine``). A join cancels the helpers
-  that have not started, so it never waits for a queued pool task. A
-  thread fills a chunk in blocks of at most ``_FILL_PAIRS`` pairs, in a
+  fills at least one whole fill block gets one per chunk that the joining
+  thread does not take at once, up to one per further usable CPU; a smaller
+  one gets none and runs on the joining thread. A draw may be started ahead
+  (``RngStream.start_normals``): its helpers, one per chunk, begin at once,
+  and the ``normals`` call that joins it fills whatever chunks are left, so
+  the editing loop draws each next step's noise while a step computes (see
+  ``engine``). A draw that ``normals`` joins without a start fills its
+  first chunk on the calling thread straight away, so it gets one helper
+  per further chunk, and none when it has one chunk. A join cancels the
+  helpers that have not started, so it never waits for a queued pool task.
+  A thread fills a chunk in blocks of at most ``_FILL_PAIRS`` pairs, in a
   scratch buffer that no other thread uses meanwhile and with a shared
   read-only ramp of counter offsets, both kept across draws. Each
   Box-Muller value is computed in float64 and written straight into an
@@ -70,7 +73,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -330,11 +333,13 @@ class _Draw:
     ``POOL`` helpers submitted when it starts, and the thread that joins it.
 
     A draw that fills at least one whole block of ``min(_CHUNK_PAIRS,
-    _FILL_PAIRS)`` pairs gets one helper per chunk, up to one per further
-    usable CPU; a smaller one gets none and asks nothing of the pool or the
-    CPU count. A thread fills its chunks in such blocks, in a scratch it
-    takes from the spares, with the shared read-only ramp; both outlive the
-    draw."""
+    _FILL_PAIRS)`` pairs gets its helpers from ``start`` (one per chunk, up
+    to one per further usable CPU) or, when it is joined without a start,
+    from ``join``: that thread takes a chunk straight away, so it gets one
+    per further chunk, up to one per further usable CPU. A smaller draw gets
+    none and asks nothing of the pool or the CPU count. A thread fills its
+    chunks in such blocks, in a scratch it takes from the spares, with the
+    shared read-only ramp; both outlive the draw."""
 
     def __init__(self, seed: int, counter: int, n: int, dtype, out: np.ndarray | None):
         self.seed, self.counter, self.n, self.dtype = seed, counter, n, np.dtype(dtype)
@@ -348,10 +353,21 @@ class _Draw:
         starts = range(0, self.pairs, _CHUNK_PAIRS)
         self._block = min(_CHUNK_PAIRS, _FILL_PAIRS)
         self._ramp = _gamma_ramp(2 * min(self.pairs, self._block))
-        helpers = min(len(starts), _usable_cpus() - 1) if self.pairs >= self._block else 0
+        self._chunks = len(starts) if self.pairs >= self._block else 0
         self._todo = iter(starts)
         self._lock = threading.Lock()
-        self._helpers = [POOL.submit(self._fill) for _ in range(helpers)]
+        self._helpers: list[Future] | None = None  # submitted by ``start`` or ``join``
+
+    def _submit(self, chunks: int) -> list[Future]:
+        """Helpers for ``chunks`` chunks, up to one per further usable CPU."""
+        if chunks < 1:
+            return []
+        return [POOL.submit(self._fill) for _ in range(min(chunks, _usable_cpus() - 1))]
+
+    def start(self) -> "_Draw":
+        """Submit a helper per chunk, for a ``join`` later."""
+        self._helpers = self._submit(self._chunks)
+        return self
 
     def _fill(self) -> None:
         scratch = None  # taken with the first chunk, so a thread that finds none takes none
@@ -382,11 +398,13 @@ class _Draw:
     def _settle(self) -> list[BaseException | None]:
         """Drop the helpers that never started and wait for the others, so no
         thread writes into ``out`` once this returns; their errors, in order."""
-        return [f.exception() for f in self._helpers if not f.cancel()]
+        return [f.exception() for f in self._helpers or () if not f.cancel()]
 
     def join(self) -> np.ndarray:
         """Fill every chunk no helper has taken, then return ``out`` or raise
         the first helper error."""
+        if self._helpers is None:  # not started: this thread fills the first chunk
+            self._helpers = self._submit(self._chunks - 1)
         try:
             self._fill()
         finally:
@@ -455,7 +473,7 @@ class RngStream:
         ``n`` elements of ``dtype``, receives the draw in place of a new array.
         """
         counter = self._started[-1].end if self._started else self.counter
-        self._started.append(_Draw(self.seed, counter, n, dtype, out))
+        self._started.append(_Draw(self.seed, counter, n, dtype, out).start())
 
     def normals(self, n: int, dtype=np.float64) -> np.ndarray:
         """n standard normals via Box-Muller, as ``dtype``; consumes 2*ceil(n/2) draws.

@@ -19,8 +19,8 @@ A run, failed or not, is built in a staging directory ``out_dir/.<scenario>.stag
 that then replaces ``out_dir/<scenario>`` whole (see ``staged``), so the directory
 never mixes the files of two runs.
 
-Runs are independent and may execute on a thread pool of the requested
-number of workers; all writes stay inside per-run directories.
+Runs are independent, and a batch runs them in order on the calling thread;
+all writes stay inside per-run directories.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -219,11 +218,14 @@ def execute_run(spec: RunSpec) -> RunOutcome:
 
 
 def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[RunOutcome]]:
-    """Execute runs (concurrently if workers > 1, else in order on this thread);
-    exit status 0 iff all finished.
+    """Execute runs in order on the calling thread; exit status 0 iff all finished.
 
     Raises ConfigError("io.scenario", ...) before any run starts when two
     specs resolve to the same run directory.
+
+    ``workers`` has no effect. It stays only because ``bench/run.py`` still
+    passes ``workers=2``; the change to the bench that drops that argument
+    (ROADMAP item 3) removes this parameter as well.
     """
     seen: dict[Path, str] = {}
     for spec in specs:
@@ -234,11 +236,7 @@ def run_batch(specs: Sequence[RunSpec], workers: int = 1) -> tuple[int, list[Run
                 f"runs {seen[out]!r} and {spec.io.scenario!r} both write to {out}",
             )
         seen[out] = spec.io.scenario
-    if workers <= 1 or len(specs) <= 1:
-        outcomes = [execute_run(spec) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute_run, specs))
+    outcomes = [execute_run(spec) for spec in specs]
     status = 0 if all(o.ok for o in outcomes) else 1
     return status, outcomes
 

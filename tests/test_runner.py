@@ -93,28 +93,37 @@ class TestRunBatch:
             ).read_bytes()
 
     def test_multi_chunk_draws_on_two_workers_match_one(self, tmp_path, monkeypatch):
-        # every draw spans several RNG chunks, so both runs' draws, chunk helpers
-        # and next-step draws share one pool; a pool task waiting on another
-        # would hang here instead of finishing
+        # two library threads each run a batch of their own at once; every draw
+        # spans several RNG chunks, so both threads' draws, chunk helpers and
+        # next-step draws share ``core.POOL``, and a pool task waiting on
+        # another would hang here instead of finishing
         monkeypatch.setattr(core, "_CHUNK_PAIRS", 4)
+        base = spec_in(SHIFT_EDIT, tmp_path)
+        specs = [with_seed(base, seed) for seed in (3, 4, 5, 6)]
+        specs = [replace(s, io=replace(s.io, scenario=f"s{s.io.seed}")) for s in specs]
 
-        def batch(workers):
-            base = spec_in(SHIFT_EDIT, tmp_path)
-            specs = [with_seed(base, seed) for seed in (3, 4, 5, 6)]
-            specs = [replace(s, io=replace(s.io, scenario=f"s{s.io.seed}")) for s in specs]
-            done = []
-            thread = threading.Thread(target=lambda: done.append(run_batch(specs, workers)))
-            thread.start()
-            thread.join(timeout=120)
-            assert not thread.is_alive(), f"run_batch(workers={workers}) did not finish"
-            status, outcomes = done[0]
-            assert status == 0
+        def artifacts(outcomes):
             return [
                 {name: (o.out_dir / name).read_bytes() for name in ("result.fatn", "report.json")}
                 for o in outcomes
             ]
 
-        assert batch(2) == batch(1)
+        done = [None, None]
+
+        def batch(i):
+            done[i] = run_batch(specs[2 * i : 2 * i + 2])
+
+        threads = [threading.Thread(target=batch, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads), "a batch did not finish"
+        assert [status for status, _ in done] == [0, 0]
+        together = artifacts(done[0][1] + done[1][1])
+        status, outcomes = run_batch(specs)
+        assert status == 0
+        assert together == artifacts(outcomes)
 
     @pytest.mark.parametrize("other_out", ["out", "out/../out", "./x/../out"])
     def test_duplicate_run_directory_rejected_before_any_run(self, tmp_path, other_out):
@@ -430,19 +439,44 @@ class TestRunDirectory:
 
 
 class TestWorkers:
-    def test_default_floor(self, tmp_path, monkeypatch):
-        # fewer than one worker runs the batch in order on the calling thread
-        threads = []
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        """The directory every case writes to, and the bytes a default batch leaves there."""
+        out = tmp_path_factory.mktemp("workers")
+        status, outcomes = run_batch(self.specs(out))
+        assert status == 0
+        return out, self.artifacts(outcomes)
+
+    @staticmethod
+    def specs(out):
+        base = with_out_dir(parse_config_text(SHIFT_EDIT), str(out))
+        return [
+            replace(s, io=replace(s.io, scenario=f"s{s.io.seed}"))
+            for s in (with_seed(base, seed) for seed in (3, 4, 5))
+        ]
+
+    @staticmethod
+    def artifacts(outcomes):
+        names = ("result.fatn", "report.json", "diagnostics.csv")
+        return [{name: (o.out_dir / name).read_bytes() for name in names} for o in outcomes]
+
+    @pytest.mark.parametrize("workers", [0, 1, 2, 8])
+    def test_specs_run_in_order_on_the_calling_thread(self, monkeypatch, reference, workers):
+        # ``workers`` changes nothing: each spec runs here, in order, with the same bytes
+        out, want = reference
+        calls = []
 
         def recording_run(spec):
-            threads.append(threading.get_ident())
+            calls.append((threading.get_ident(), spec.io.scenario))
             return execute_run(spec)
 
         monkeypatch.setattr(runner, "execute_run", recording_run)
-        specs = [spec_in(NULL_EDIT, tmp_path, name) for name in ("a", "b")]
-        status, outcomes = run_batch(specs, workers=0)
-        assert status == 0 and [o.scenario for o in outcomes] == [s.io.scenario for s in specs]
-        assert threads == [threading.get_ident()] * 2
+        specs = self.specs(out)
+        status, outcomes = run_batch(specs, workers=workers)
+        scenarios = [s.io.scenario for s in specs]
+        assert status == 0 and [o.scenario for o in outcomes] == scenarios
+        assert calls == [(threading.get_ident(), name) for name in scenarios]
+        assert self.artifacts(outcomes) == want
 
 
 class TestQuantize:

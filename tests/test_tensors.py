@@ -896,3 +896,33 @@ class TestStartedSingleChunk:
             pool.shutdown(wait=True)
         assert len(submitted) == 1
         assert got.tobytes() == _oracle_normals(5, 2, self.N).tobytes()
+
+
+class TestJoinedAtOnce:
+    """A draw that ``normals`` joins without a start fills its first chunk on
+    the calling thread straight away, so it gets a helper only for the chunks
+    after it: ``min(chunks - 1, usable CPUs - 1)``."""
+
+    ONE_CHUNK = 2 * core._FILL_PAIRS + 1  # a fill block and one pair more
+    THREE_CHUNKS = 4 * _CHUNK + 1  # two whole chunks and one pair
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        return TestStartedSingleChunk._spy_pool(monkeypatch)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_one_chunk_submits_nothing(self, monkeypatch, submitted, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        got = RngStream(5, 2).normals(self.ONE_CHUNK, np.float32)
+        assert submitted == []
+        assert got.tobytes() == _oracle_normals(5, 2, self.ONE_CHUNK).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_three_chunks_get_a_helper_per_further_chunk(self, monkeypatch, submitted, cpus):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        assert -(-((self.THREE_CHUNKS + 1) // 2) // _CHUNK) == 3
+        rng = RngStream(5, 2)
+        got = rng.normals(self.THREE_CHUNKS)
+        assert len(submitted) == min(2, cpus - 1)
+        assert got.tobytes() == _oracle_normals(5, 2, self.THREE_CHUNKS).tobytes()
+        assert rng.counter == 2 + self.THREE_CHUNKS + 1
