@@ -52,8 +52,8 @@ def contrast_map(dv: np.ndarray, eps: float = 1e-7) -> np.ndarray:
     """
     mean = dv.mean(axis=1, keepdims=True, dtype=np.float32)
     flat = mean.reshape(mean.shape[0], -1)
-    lo = flat.min(axis=1).reshape(-1, 1, 1, 1, 1)
-    hi = flat.max(axis=1).reshape(-1, 1, 1, 1, 1)
+    lo = np.minimum.reduce(flat, axis=1).reshape(-1, 1, 1, 1, 1)
+    hi = np.maximum.reduce(flat, axis=1).reshape(-1, 1, 1, 1, 1)
     return (mean - lo) / (hi - lo + np.float32(eps))
 
 

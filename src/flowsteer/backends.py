@@ -10,7 +10,9 @@ Two desk-scale backends are provided:
   them against per-condition text keys, and mixes text values through a
   softmax over the tokens. Its logits are token-major, one (L, F*H*W)
   array per sample, exposed before the softmax to an optional hook so
-  attention-level interventions can be tested end to end.
+  attention-level interventions can be tested end to end. The hook may
+  write its result into the field's softmax buffer, which it is handed, so
+  a refinement needs no logit array of its own.
 
 Both are immutable after construction and evaluate deterministically, so
 velocity calls are pure and safe to issue concurrently: the toy field's
@@ -51,9 +53,11 @@ from .errors import ShapeMismatchError
 from .sar import TargetTokenSet
 
 # Hook over the pre-softmax (L, F*H*W) logit array, one row per text token; second
-# argument is the attention layer index. It returns the logits to softmax, its input
-# if unchanged, and must not write into its input.
-AttentionHook = Callable[[np.ndarray, int], np.ndarray]
+# argument is the attention layer index, third a buffer of the calling thread shaped
+# like the logits. It returns the logits to softmax: its input if unchanged, else the
+# third argument with the new logits written into it, or a new array. It must not
+# write into its input.
+AttentionHook = Callable[[np.ndarray, int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,9 @@ def toy_attention_velocity(
     Queries are a fixed linear map of voxel coordinates and local channel
     values; logits are K Q^T / temperature, one (L, F*H*W) array per sample.
     The hook, when given, runs on the pre-softmax logits of each sample, as
-    layer 0: the toy field has one attention layer.
+    layer 0: the toy field has one attention layer. It is handed the softmax
+    buffer, in which the softmax then runs in place; the field never writes
+    into any other array the hook returns.
     The temporaries are the calling thread's buffers, reused by its next
     call; the velocity is ``out`` or a new array, never one of them.
     """
@@ -357,7 +363,7 @@ def toy_attention_velocity(
         logits = _matmul(cond.text_keys, bufs.queries, bufs.logits)
         logits /= np.float32(cond.temperature)
         if hook is not None:
-            logits = hook(logits, 0)
+            logits = hook(logits, 0, bufs.probs)
         probs = _softmax_tokens(logits, bufs.probs, bufs.shift, bufs.scratch)
         _matmul(cond.text_values.T, probs, result[b].reshape(channels, -1))
     return result

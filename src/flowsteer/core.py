@@ -284,10 +284,12 @@ def _fill_block(
     _raw_into(seed, counter + 2 * lo, ramp[: 2 * m], bits, tmp)
     np.right_shift(bits, _SHIFT_11, out=bits)
     radius, angle = tmp[:m].view(np.float64), tmp[m:].view(np.float64)
-    np.add(bits[0::2], 1.0, out=radius)
+    # below 2**53 after the shift, so int64 converts to the same float64 as uint64, faster
+    words = bits.view(np.int64)
+    np.add(words[0::2], 1.0, out=radius)
     np.multiply(radius, _U53_SCALE, out=radius)
     # u2 * 2pi in one rounding: scaling by 2**-53 is exact, before or after the product
-    np.multiply(bits[1::2], _U53_SCALE * (2.0 * math.pi), out=angle)
+    np.multiply(words[1::2], _U53_SCALE * (2.0 * math.pi), out=angle)
     np.log(radius, out=radius)
     np.multiply(radius, -2.0, out=radius)
     np.sqrt(radius, out=radius)

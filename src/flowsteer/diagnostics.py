@@ -45,10 +45,10 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"iou operands differ in shape: {a.shape} vs {b.shape}")
-    union = np.logical_or(a, b).sum()
+    union = np.count_nonzero(np.logical_or(a, b))
     if union == 0:
         return 1.0
-    return float(np.logical_and(a, b).sum() / union)
+    return np.count_nonzero(np.logical_and(a, b)) / union
 
 
 def magnitude_stats(
@@ -56,11 +56,15 @@ def magnitude_stats(
 ) -> tuple[float, tuple[float, ...]]:
     """(mean |dv| over all entries, mean |dv| per latent frame); the per-frame
     tuple is empty unless ``per_frame``. With ``absolute`` the caller passes
-    |dv| itself."""
+    |dv| itself. Each mean is ``ndarray.mean(dtype=np.float64)``'s float64 sum
+    over the count, without its Python wrapper."""
     mag = dv if absolute else np.abs(dv)
-    overall = float(mag.mean(dtype=np.float64))
     frames = dv.shape[2] if per_frame else 0
-    return overall, tuple(float(mag[:, :, f].mean(dtype=np.float64)) for f in range(frames))
+    return _mean64(mag), tuple(_mean64(mag[:, :, f]) for f in range(frames))
+
+
+def _mean64(x: np.ndarray) -> float:
+    return float(np.add.reduce(x, axis=None, dtype=np.float64)) / x.size
 
 
 def report_rows(report) -> list[tuple[int, int, float, float, float]]:

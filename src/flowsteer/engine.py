@@ -151,8 +151,8 @@ def blend_baseline(
 
 
 def _sar_hook(cfg: EditConfig, t: float):
-    def hook(logits: np.ndarray, layer: int) -> np.ndarray:
-        return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, layer)
+    def hook(logits: np.ndarray, layer: int, out: np.ndarray) -> np.ndarray:
+        return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, layer, out=out)
 
     return hook
 

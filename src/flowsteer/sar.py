@@ -25,9 +25,13 @@ masked voxels) and a boolean row selector (the target tokens);
 builds the second from the ``TargetTokenSet``, once per call, and checks
 the mask's voxel count against the logit columns there. Column and row
 extrema are numpy's own max/min reductions over the token or voxel axis.
-A pass that changes nothing returns its input array itself;
-otherwise it returns a new array and leaves its input unwritten, unless the
-spatio-temporal pass is asked to work in place.
+A pass that changes nothing returns its input array itself. Otherwise the
+text-token pass returns the ``out`` buffer it is given, with its result
+written there, or a new array; the spatio-temporal pass returns a new array,
+or its input when asked to work in place. No other pass writes into its
+input. So ``apply_sar`` returns its input when gated off and, when given
+``out``, returns ``out`` whenever the text-token pass changed the logits:
+the spatio-temporal pass then refines that array in place.
 """
 
 from __future__ import annotations
@@ -109,12 +113,15 @@ def text_token_modulation(
     mask_cols: np.ndarray,
     tar_rows: np.ndarray,
     beta1: float,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Convex pull of masked voxel columns toward their token extrema, keyed by token role.
 
     For voxels with mask 1, target-token entries become
     (1 - beta1) * A + beta1 * colmax and all other entries
-    (1 - beta1) * A + beta1 * colmin. Everything else is untouched.
+    (1 - beta1) * A + beta1 * colmin. Everything else is untouched. The
+    result goes into ``out``, shaped like ``logits``, when given, else into a
+    new array.
     """
     if not 0.0 <= beta1 <= 1.0:
         raise ValueError(f"beta1 must be in [0, 1], got {beta1}")
@@ -124,7 +131,9 @@ def text_token_modulation(
     # where each token reduction walks a short row per voxel, several times slower
     sub = logits.compress(mask_cols, axis=1)
     pulled = np.where(tar_rows[:, None], sub.max(axis=0), sub.min(axis=0))
-    out = logits.copy()
+    if out is None:
+        out = np.empty_like(logits)
+    np.copyto(out, logits)
     out[:, mask_cols] = _convex_step(sub, pulled, beta1)
     return out
 
@@ -162,13 +171,16 @@ def apply_sar(
     cfg: SarConfig,
     t: float,
     layer: int = 0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gated composition of both modulation passes on pre-softmax logits.
 
     Outside the active window (t < tau_fraction) or off the
     configured layers, and when both passes are no-ops, the input array
     itself is returned. Inside the window the mask becomes the column
-    selector and the target tokens the row selector, once for both passes.
+    selector and the target tokens the row selector, once for both passes,
+    and the refined logits go into ``out`` when given (see the module
+    docstring); ``logits`` is never written.
     """
     if t < cfg.tau_fraction or not cfg.applies_to_layer(layer):
         return logits
@@ -184,7 +196,7 @@ def apply_sar(
             f"mask has {mask_cols.size} voxels but the logit array has {logits.shape[1]} columns"
         )
     tar_rows = j_tar.token_selector(logits.shape[0])
-    refined = text_token_modulation(logits, mask_cols, tar_rows, cfg.beta1)
+    refined = text_token_modulation(logits, mask_cols, tar_rows, cfg.beta1, out)
     # a refined array is the first pass's own copy, so the second pass may overwrite it
     return spatiotemporal_modulation(
         refined, mask_cols, tar_rows, cfg.beta2, in_place=refined is not logits

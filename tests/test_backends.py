@@ -156,7 +156,7 @@ class TestToyAttention:
         src, _, _ = self.make()
         state = random_latent(RngStream(4), (1, 2, 2, 3, 3))
         plain = toy_attention_velocity(state.data, 0.8, src)
-        hooked = toy_attention_velocity(state.data, 0.8, src, hook=lambda m, layer: m)
+        hooked = toy_attention_velocity(state.data, 0.8, src, hook=lambda m, layer, out: m)
         assert np.array_equal(plain, hooked)
 
     def test_softmax_rows_sum_to_one(self):
@@ -198,7 +198,7 @@ def attention_maps(state, t, cond):
     """
     seen = []
 
-    def record(logits, layer):
+    def record(logits, layer, out):
         seen.append(logits.copy())
         return logits
 
@@ -339,10 +339,10 @@ class TestRowMajorOracle:
         cfg = SarConfig(beta1=0.4, beta2=0.6)
         calls = []
 
-        def hook(logits, layer):
-            out = apply_sar(logits, mask, j_tar, cfg, t, layer)
-            calls.append(out is not logits)
-            return out
+        def hook(logits, layer, out):
+            refined = apply_sar(logits, mask, j_tar, cfg, t, layer, out=out)
+            calls.append(refined is not logits)
+            return refined
 
         def oracle_hook(logits):
             return row_major_sar(logits, mask, j_tar, 0.4, 0.6) if t >= 0.6 else logits
@@ -388,7 +388,7 @@ class TestToyBuffers:
         cond, state, mask, j_tar = toy_case(2, 6)
         first = toy_attention_velocity(state, 0.7, cond)
         kept = first.copy()
-        toy_attention_velocity(-state, 0.7, cond, hook=lambda lg, layer: lg * 2)
+        toy_attention_velocity(-state, 0.7, cond, hook=lambda lg, layer, out: lg * 2)
         assert first.tobytes() == kept.tobytes()
         bufs = _toy_buffers((state.shape[1:], cond.text_keys.shape))
         for buf in vars(bufs).values():
@@ -400,7 +400,7 @@ class TestToyBuffers:
         cond, state, _, _ = toy_case(2, 6)
         returned = []
 
-        def hook(logits, layer):
+        def hook(logits, layer, buf):
             out = logits if identity else logits - 1
             returned.append((out, out.copy()))
             return out
@@ -422,6 +422,24 @@ class TestToyBuffers:
         inout = state.copy()  # the engine's in-place steps pass the state itself
         assert toy_attention_velocity(inout, 0.7, cond, out=inout) is inout
         assert inout.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_hook_writing_into_out_gives_the_bits_of_a_fresh_array(self, batch):
+        cond, state, _, _ = toy_case(batch, 6)
+        handed = []
+
+        def fresh(logits, layer, out):
+            return logits * np.float32(0.5) - 1
+
+        def into_out(logits, layer, out):
+            handed.append(out.shape == logits.shape and not np.shares_memory(out, logits))
+            np.multiply(logits, np.float32(0.5), out=out)
+            return np.subtract(out, 1, out=out)
+
+        want = toy_attention_velocity(state, 0.7, cond, hook=fresh)
+        got = toy_attention_velocity(state, 0.7, cond, hook=into_out)
+        assert handed == [True] * batch
+        assert got.tobytes() == want.tobytes()
 
     def test_shape_change_leaves_one_buffer_set_per_thread(self):
         small, large = toy_case(1, 6), toy_case(1, 16, dims=(4, 2, 4, 4))

@@ -122,6 +122,58 @@ class TestMagnitudeStats:
             assert after >= before
 
 
+
+def float64_bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+class TestStatsMatchTheOldExpressions:
+    """``magnitude_stats``, ``iou`` and ``contrast_map`` call the reductions
+    behind ``ndarray.mean``, ``.sum``, ``.min`` and ``.max`` directly; each must
+    give the bits of the wrapped expression it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        batch=st.sampled_from([1, 2]),
+        channels=st.integers(1, 4),
+        frames=st.integers(1, 7),
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        mask=st.sampled_from(["empty", "full", "random"]),
+        nans=st.integers(0, 2),
+    )
+    def test_same_bits(self, seed, batch, channels, frames, height, width, mask, nans):
+        rng = RngStream(seed)
+        dv = random_latent(rng, (batch, channels, frames, height, width), scale=3.0).data.copy()
+        spots = (rng.uniforms(nans) * dv.size).astype(int)
+        dv.reshape(-1)[spots] = np.nan
+        mag = np.abs(dv)
+        overall, per_frame = magnitude_stats(mag, absolute=True)
+        old_overall = float(mag.mean(dtype=np.float64))
+        old_frames = [float(mag[:, :, f].mean(dtype=np.float64)) for f in range(frames)]
+        assert float64_bits([overall, *per_frame]) == float64_bits([old_overall, *old_frames])
+
+        mean = dv.mean(axis=1, keepdims=True, dtype=np.float32)
+        flat = mean.reshape(batch, -1)
+        lo = flat.min(axis=1).reshape(-1, 1, 1, 1, 1)
+        hi = flat.max(axis=1).reshape(-1, 1, 1, 1, 1)
+        old_contrast = (mean - lo) / (hi - lo + np.float32(1e-7))
+        assert contrast_map(dv, 1e-7).tobytes() == old_contrast.tobytes()
+
+        shape = (frames, height, width)
+        if mask == "random":
+            bits = (rng.uniforms(frames * height * width) < 0.5).reshape(shape)
+        else:
+            bits = np.full(shape, mask == "full")
+        bits = bits.astype(np.uint8)
+        binary = binarize_signal(dv)
+        for b in range(batch):
+            union = np.logical_or(binary[b], bits).sum()
+            old = 1.0 if union == 0 else float(np.logical_and(binary[b], bits).sum() / union)
+            assert float64_bits([iou(binary[b], bits)]) == float64_bits([old])
+
+
 SWEEP = """
 [backend]
 source_mean = 0.0

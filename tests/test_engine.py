@@ -575,7 +575,7 @@ def reference_run(x_src, cfg, backend):
         rng = run_rng.substream(index)
         noises = [sample_gaussian(rng, x.shape) for _ in range(cfg.n_avg)]
 
-        def hook(logits, layer, t=t):
+        def hook(logits, layer, out, t=t):
             return apply_sar(logits, cfg.mask, cfg.j_tar, cfg.sar, t, layer)
 
         acc = np.zeros(x.shape, dtype=np.float32)
@@ -751,6 +751,39 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert (peak - start) / x.data.nbytes <= bound
+
+
+    def test_warm_toy_run_keeps_no_logit_array_of_its_own(self, monkeypatch):
+        """A toy run refines the logits in the field's softmax buffer. Here C = 4
+        and L = 16, so one (L, F*H*W) float32 logit array is 4 latents. With the
+        thread's toy buffers and fill scratch warm, a SAR step holds the step's four
+        latent buffers (the engine docstring), the last step's contrast plane (1/4
+        latent) and SAR's gathers: two (L, M) arrays for M = F*H*W/16 masked
+        voxels and two (T, F*H*W) rows for T = 1 target token, 1 latent, plus
+        extrema and index arrays of a few M entries. That is under 5.5 latents, so
+        the bound is 3 latents plus one logit array (7). A per-call copy of the
+        logits adds 4 latents and goes over it."""
+        monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+        dims = (1, 4, 16, 32, 32)
+        tokens = 16
+        x = random_latent(RngStream(3), dims)
+        j_tar = TargetTokenSet.of(2)
+        reg = BackendRegistry(*make_toy_condition_pair(7, tokens, 4, dims[1], j_tar))
+        bits = np.zeros(dims[2:], dtype=np.uint8)
+        bits[:, 8:16, 12:20] = 1
+        assert bits.sum() * 16 == bits.size
+        cfg = make_cfg(grid=TimeGrid(10, skip=2), mask=EditMask(bits), j_tar=j_tar, seed=5)
+        run_edit(x, cfg, reg)  # warms this thread's toy buffers and the fill scratch
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _, report = run_edit(x, cfg, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(rec.t >= cfg.sar.tau_fraction for rec in report.steps)
+        logit_array = tokens * bits.size * 4
+        assert peak - start < 3 * x.data.nbytes + logit_array
 
 
 class TestTraceSeam:

@@ -259,6 +259,24 @@ class TestApplySar:
         out2 = apply_sar(logits, mask, j_tar, cfg, t=0.9, layer=2)
         assert not np.array_equal(out2, logits)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", [[1, 0, 1, 1, 0, 0, 1], [1] * 7])
+    @pytest.mark.parametrize("t", [0.5, 0.9])
+    def test_out_gets_the_allocating_bits(self, t, bits, dtype):
+        logits, _, j_tar = random_case(RngStream(11), 7, 4)
+        logits = logits.astype(dtype)
+        mask = mask_from(bits)
+        cfg = SarConfig(beta1=0.4, beta2=0.6, tau_fraction=0.6)
+        kept = logits.copy()
+        want = apply_sar(logits, mask, j_tar, cfg, t=t)
+        out = np.full_like(logits, np.nan)
+        got = apply_sar(logits, mask, j_tar, cfg, t=t, out=out)
+        assert logits.tobytes() == kept.tobytes()
+        if t < cfg.tau_fraction:
+            assert got is logits and want is logits
+        else:
+            assert got is out and got.tobytes() == want.tobytes()
+
     def test_matches_scalar_reference(self):
         logits = logits_from([[0.2, 0.4], [-0.1, 0.9]])
         mask = mask_from([1, 0])
